@@ -50,7 +50,8 @@ def main():
     print("concatenated non-sequence width:", schema.d_ns)
 
     banner(f"split into {N_HEADS} heads of width {HEAD_DIM}")
-    e_ns = mx.embed_nonseq(request, 0, store.tables, schema)
+    batch = mx.stack_requests([request])  # one request, one candidate
+    e_ns = mx.embed_nonseq_batch(batch, store.tables, schema)[0, 0]
     layout = store.layout
     x0 = mx.split_heads(e_ns, store.dense["split.proj"], layout)
     print("head-state shape:", x0.data.shape)
@@ -68,7 +69,7 @@ def main():
     banner("cross attention reads the action sequence")
     from mixformer.blocks import project_actions
 
-    actions = mx.embed_actions(request, store.tables, schema)
+    actions = mx.embed_actions_batch(batch, store.tables, schema)[0]
     seq = ad.matmul(actions, ad.swapaxes(store.dense["seq.input_proj"], -1, -2))
     keys, values = project_actions(seq, store.block(0), cfg)
     print("raw action embedding:", actions.data.shape)

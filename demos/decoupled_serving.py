@@ -42,7 +42,7 @@ def main():
 
     state = mx.compute_shared_user_state(request, store)
     print(f"\nshared user state: {len(state.layers)} layers, "
-          f"keys per layer {state.layers[0].keys.data.shape}")
+          f"keys per layer {state.layers[0].keys.shape}")
 
     t0 = time.perf_counter()
     per_candidate = np.stack(

@@ -25,7 +25,6 @@ from .blocks import (
     config_to_dict,
     cross_attention,
     forward,
-    forward_tensor,
     head_mixing,
     init_parameters,
     load_checkpoint,
@@ -76,9 +75,7 @@ from .features import (
     HeadLayout,
     Request,
     RequestBatch,
-    embed_actions,
     embed_actions_batch,
-    embed_nonseq,
     embed_nonseq_batch,
     head_layout,
     make_tables,

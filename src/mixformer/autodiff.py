@@ -385,7 +385,7 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = _stable_sigmoid(x.data)
+    out = stable_sigmoid(x.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -396,7 +396,7 @@ def sigmoid(x) -> Tensor:
 def swish(x) -> Tensor:
     """x * sigmoid(x), the gate activation of the gated FFN."""
     x = as_tensor(x)
-    s = _stable_sigmoid(x.data)
+    s = stable_sigmoid(x.data)
     out = x.data * s
 
     def vjp(g):
@@ -493,12 +493,13 @@ def bce_with_logits(logits, targets: np.ndarray) -> Tensor:
     out = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
     def vjp(g):
-        return (g * (_stable_sigmoid(z) - y),)
+        return (g * (stable_sigmoid(z) - y),)
 
     return _make(out, (logits,), vjp)
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic of an ndarray that never overflows exp."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))

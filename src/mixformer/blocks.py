@@ -1,4 +1,4 @@
-"""The stacked interaction blocks and full forward passes.
+"""The stacked interaction blocks and the forward pass.
 
 Each block applies three residual sublayers to an (n_heads, head_dim)
 state: a query mixer (parameter-free head mixing plus per-head gated
@@ -9,9 +9,13 @@ only on the request, never on the candidate.
 
 Default normalization is rms_norm applied before each sublayer; the
 post_ln ablation switches to gain-only layer_norm applied after the
-residual add.  All shape work tolerates arbitrary leading batch axes,
-so the same code serves single-candidate scoring, batched training, and
-the decoupled serving path.
+residual add.
+
+run_blocks is the one block stack.  It runs on head rows [lo, hi) of a
+(B, K, rows, head_dim) state, taking the mixing inputs of rows [0, lo)
+from a cache, so the same code serves batched training (all rows),
+single-candidate scoring (B = K = 1) and both halves of decoupled
+serving (user rows once per request, item rows per candidate).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,15 +31,12 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError, ShapeError
 from .features import (
-    Dataset,
     EmbeddingTable,
     FeatureSchema,
     HeadLayout,
     Request,
     RequestBatch,
-    embed_actions,
     embed_actions_batch,
-    embed_nonseq,
     embed_nonseq_batch,
     head_layout,
     make_tables,
@@ -365,26 +366,68 @@ def _single_head_sa(x: ad.Tensor, bp: BlockParams, cfg: ModelConfig) -> ad.Tenso
     return ad.matmul(ad.softmax(scores), v)
 
 
-def query_mixer(x, bp: BlockParams, cfg: ModelConfig, mask: np.ndarray | None = None) -> ad.Tensor:
-    """Head mixing then per-head gated FFNs, each with its own residual."""
+def _head_rows(w: ad.Tensor, rows: tuple[int, int] | None) -> ad.Tensor:
+    # per-head weight stacks of rows [lo, hi); a shared single stack broadcasts
+    return w if rows is None or w.shape[0] == 1 else w[rows[0] : rows[1]]
+
+
+def _mix_rows(xn: ad.Tensor, n: int, rows: tuple[int, int] | None, prefix) -> ad.Tensor:
+    """Rows [lo, hi) of head mixing.  xn holds the mixing inputs of those
+    rows, prefix those of rows [0, lo); rows from hi on count as zeros."""
+    if rows is None:
+        return head_mixing(xn)
+    lo, hi = rows
+    lead, dim = xn.shape[:-2], xn.shape[-1]
+    c = dim // n
+    # chunks [lo, hi) of every source row, as (..., n, hi - lo, c)
+    parts = [
+        xn.reshape(lead + (hi - lo, n, c))[..., lo:hi, :],
+        ad.Tensor(np.zeros(lead + (n - hi, hi - lo, c))),
+    ]
+    if lo:
+        p = ad.as_tensor(prefix)
+        p = p.reshape(p.shape[:-1] + (n, c))[..., lo:hi, :]
+        parts.insert(0, ad.broadcast_to(p, lead + (lo, hi - lo, c)))
+    return ad.concat(parts, axis=-3).swapaxes(-3, -2).reshape(lead + (hi - lo, dim))
+
+
+def query_mixer(
+    x,
+    bp: BlockParams,
+    cfg: ModelConfig,
+    mask: np.ndarray | None = None,
+    rows: tuple[int, int] | None = None,
+    mix_prefix=None,
+    record: dict | None = None,
+) -> ad.Tensor:
+    """Head mixing then per-head gated FFNs, each with its own residual.
+
+    With rows = (lo, hi), x holds head rows [lo, hi) only and mixing reads
+    rows [0, lo) from mix_prefix (see run_blocks).  record, when given,
+    receives the mixing inputs under "mix_src".
+    """
     x = ad.as_tensor(x)
     flags = cfg.ablations
+    if mask is not None and rows is not None:
+        mask = mask[rows[0] : rows[1]]
     if not flags.wo_hm:
         if flags.hm_to_sa:
             mix = lambda xn: _single_head_sa(xn, bp, cfg)
-        elif mask is not None:
-            mask_c = ad.Tensor(mask)
-            mix = lambda xn: ad.mul(head_mixing(xn), mask_c)
         else:
-            mix = head_mixing
+
+            def mix(xn: ad.Tensor) -> ad.Tensor:
+                if record is not None:
+                    record["mix_src"] = xn
+                out = _mix_rows(xn, cfg.n_heads, rows, mix_prefix)
+                return out if mask is None else ad.mul(out, ad.Tensor(mask))
+
         p = _sublayer(x, bp.qm_norm, cfg, mix)
     else:
         p = x
     if flags.wo_qm_ffn:
         return p
-    return _sublayer(
-        p, bp.qm_norm, cfg, lambda pn: _headwise_ffn(pn, bp.qm_gate, bp.qm_up, bp.qm_down)
-    )
+    ffn = [_head_rows(w, rows) for w in (bp.qm_gate, bp.qm_up, bp.qm_down)]
+    return _sublayer(p, bp.qm_norm, cfg, lambda pn: _headwise_ffn(pn, *ffn))
 
 
 def project_actions(s, bp: BlockParams, cfg: ModelConfig) -> tuple[ad.Tensor, ad.Tensor]:
@@ -432,29 +475,77 @@ def cross_attention(q, keys, values) -> ad.Tensor:
     return ad.add(ctx.reshape(q.shape), q)
 
 
-def output_fusion(z, bp: BlockParams, cfg: ModelConfig) -> ad.Tensor:
+def output_fusion(
+    z, bp: BlockParams, cfg: ModelConfig, rows: tuple[int, int] | None = None
+) -> ad.Tensor:
     """Per-head gated FFNs with residual on the attended state."""
     z = ad.as_tensor(z)
-    return _sublayer(
-        z, bp.of_norm, cfg, lambda zn: _headwise_ffn(zn, bp.of_gate, bp.of_up, bp.of_down)
-    )
+    ffn = [_head_rows(w, rows) for w in (bp.of_gate, bp.of_up, bp.of_down)]
+    return _sublayer(z, bp.of_norm, cfg, lambda zn: _headwise_ffn(zn, *ffn))
 
 
 def mixformer_block(
     x,
     bp: BlockParams,
     cfg: ModelConfig,
-    seq: ad.Tensor | None = None,
-    kv: tuple[ad.Tensor, ad.Tensor] | None = None,
+    kv: tuple | None = None,
     mask: np.ndarray | None = None,
+    rows: tuple[int, int] | None = None,
+    mix_prefix=None,
+    record: dict | None = None,
 ) -> ad.Tensor:
-    """One full block.  Pass either the raw sequence embedding (keys and
-    values are projected here) or precomputed kv."""
-    if kv is None and seq is not None:
-        kv = project_actions(seq, bp, cfg)
-    q = query_mixer(x, bp, cfg, mask)
-    z = cross_attention(q, kv[0], kv[1]) if kv is not None else cross_attention(q, None, None)
-    return output_fusion(z, bp, cfg)
+    """One full block.  kv is the (keys, values) pair of all heads, shaped
+    to broadcast against x, or None for an empty sequence.  rows and
+    mix_prefix are as for query_mixer; record, when given, also receives
+    "keys", "values", the query-mixer output "q" and attention output "z".
+    """
+    keys, values = kv if kv is not None else (None, None)
+    if record is not None:
+        record.update(keys=keys, values=values)
+    q = query_mixer(x, bp, cfg, mask, rows, mix_prefix, record)
+    if keys is not None and rows is not None:
+        keys = ad.as_tensor(keys)[..., rows[0] : rows[1], :, :]
+        values = ad.as_tensor(values)[..., rows[0] : rows[1], :, :]
+    z = cross_attention(q, keys, values)
+    if record is not None:
+        record.update(q=q, z=z)
+    return output_fusion(z, bp, cfg, rows)
+
+
+def run_blocks(
+    x: ad.Tensor,
+    store: ParameterStore,
+    seq: ad.Tensor | None = None,
+    kv: Sequence[tuple] | None = None,
+    mask: np.ndarray | None = None,
+    rows: tuple[int, int] | None = None,
+    mix_prefix: Sequence | None = None,
+    record: list[dict] | None = None,
+) -> ad.Tensor:
+    """The block stack, on head rows [lo, hi) of a (B, K, hi - lo,
+    head_dim) state; rows=None runs all heads.
+
+    Keys and values come from kv, one pair per block, or are projected
+    from seq (B, t, model_width) once per request and block and broadcast
+    over candidates, which is exact because they never depend on the
+    candidate.  Head mixing reads rows [0, lo) from mix_prefix (their
+    mixing inputs, per block) and rows from hi on as zeros, which the
+    decoupling mask removes.  A record list gets one dict per block:
+    mixformer_block's record plus the block output "out".
+    """
+    cfg = store.config
+    for l in range(cfg.n_blocks):
+        bp = store.block(l)
+        layer_kv = kv[l] if kv is not None else None
+        if seq is not None:
+            shape = (seq.shape[0], 1, cfg.n_heads, seq.shape[-2], cfg.head_dim)
+            layer_kv = tuple(a.reshape(shape) for a in project_actions(seq, bp, cfg))
+        rec = None if record is None else {}
+        prefix = None if mix_prefix is None else mix_prefix[l]
+        x = mixformer_block(x, bp, cfg, layer_kv, mask, rows, prefix, rec)
+        if rec is not None:
+            record.append({**rec, "out": x})
+    return x
 
 
 def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
@@ -468,30 +559,12 @@ def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
     return out.reshape(lead + (store.config.n_tasks,))
 
 
-def _sequence_embedding(
-    actions: ad.Tensor | None, store: ParameterStore
-) -> ad.Tensor | None:
+def sequence_embedding(batch: RequestBatch, store: ParameterStore) -> ad.Tensor | None:
+    """(B, t, model_width) projected action sequence; None when t = 0."""
+    actions = embed_actions_batch(batch, store.tables, store.schema)
     if actions is None:
         return None
-    proj_t = ad.swapaxes(store.dense["seq.input_proj"], -1, -2)
-    return ad.matmul(actions, proj_t)
-
-
-def forward_tensor(
-    request: Request,
-    candidate_index: int,
-    store: ParameterStore,
-    mask: np.ndarray | None = None,
-) -> ad.Tensor:
-    """Logits tensor for one candidate; differentiable w.r.t. all params."""
-    cfg, schema = store.config, store.schema
-    request.validate(schema)
-    e = embed_nonseq(request, candidate_index, store.tables, schema)
-    x = split_heads(e, store.dense["split.proj"], store.layout)
-    s = _sequence_embedding(embed_actions(request, store.tables, schema), store)
-    for l in range(cfg.n_blocks):
-        x = mixformer_block(x, store.block(l), cfg, seq=s, mask=mask)
-    return task_logits(x.reshape((cfg.model_width,)), store)
+    return ad.matmul(actions, ad.swapaxes(store.dense["seq.input_proj"], -1, -2))
 
 
 def forward(
@@ -500,35 +573,25 @@ def forward(
     store: ParameterStore,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score one candidate of one request: returns (n_tasks,) logits."""
-    with ad.no_grad():
-        return forward_tensor(request, candidate_index, store, mask).data
+    """Score one candidate of one request: returns (n_tasks,) logits.
+    This is batched_forward on a batch of one request and one candidate."""
+    request.validate(store.schema)
+    if not 0 <= candidate_index < request.n_candidates:
+        raise DataError(f"candidate index {candidate_index} out of range")
+    batch = request.as_batch(slice(candidate_index, candidate_index + 1))
+    return batched_forward(batch, store, mask)[0, 0]
 
 
 def batched_forward_tensor(
     batch: RequestBatch, store: ParameterStore, mask: np.ndarray | None = None
 ) -> ad.Tensor:
-    """(B, K, n_tasks) logits for a stacked batch.
-
-    Keys and values are computed once per request per block and
-    broadcast over candidates, which is exact because they never depend
-    on the candidate.
-    """
+    """(B, K, n_tasks) logits for a stacked batch; differentiable w.r.t.
+    all parameters."""
     cfg, schema = store.config, store.schema
     b, k = batch.n_requests, batch.n_candidates
     e = embed_nonseq_batch(batch, store.tables, schema)
     x = split_heads(e, store.dense["split.proj"], store.layout)
-    s = _sequence_embedding(embed_actions_batch(batch, store.tables, schema), store)
-    for l in range(cfg.n_blocks):
-        bp = store.block(l)
-        kv = None
-        if s is not None:
-            keys, values = project_actions(s, bp, cfg)
-            t = keys.shape[-2]
-            keys = keys.reshape((b, 1, cfg.n_heads, t, cfg.head_dim))
-            values = values.reshape((b, 1, cfg.n_heads, t, cfg.head_dim))
-            kv = (keys, values)
-        x = mixformer_block(x, bp, cfg, kv=kv, mask=mask)
+    x = run_blocks(x, store, seq=sequence_embedding(batch, store), mask=mask)
     return task_logits(x.reshape((b, k, cfg.model_width)), store)
 
 

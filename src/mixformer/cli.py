@@ -292,7 +292,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         log_fh.write("# " + json.dumps(resolved, sort_keys=True) + "\n")
         log_fh.write("step,epoch,loss,holdout_auc0\n")
 
-    global_step = 0
     done = 0
     t0 = time.perf_counter()
     try:
@@ -312,7 +311,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                 opt.step()
                 step += 1
                 done += 1
-                global_step += 1
                 auc_cell = ""
                 if run.eval_every and holdout and done % run.eval_every == 0:
                     summary = evaluate(holdout, store, mask)
@@ -496,9 +494,7 @@ def cmd_bench_rlb(args: argparse.Namespace) -> int:
             cands = np.stack(
                 [rng.integers(v, size=k) for v in item_vocabs], axis=1
             ).astype(np.int64)
-            reqs_k.append(
-                replace_candidates(r, cands)
-            )
+            reqs_k.append(replace(r, candidates=cands, labels=None))
         t0 = time.perf_counter()
         per_cand = [
             np.stack([forward_decoupled(r, i, store) for i in range(k)])
@@ -526,10 +522,6 @@ def cmd_bench_rlb(args: argparse.Namespace) -> int:
                 )
         print(f"wrote {args.out}")
     return 0
-
-
-def replace_candidates(request, candidates: np.ndarray):
-    return replace(request, candidates=candidates, labels=None)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ Heads are partitioned into a user side and an item side.  A binary mask
 on the head-mixing output stops user heads from ever reading item
 chunks, so rows 0..n_user_heads-1 of the state are functions of the
 user and sequence alone.  That makes request-level batching possible:
-compute the user rows, sequence keys and values once per request, then
-sweep the candidates through the item-side work only.
+compute_shared_user_state runs the block stack on the user rows once
+per request, keeping the sequence keys and values and the user rows'
+mixing inputs; rlb_forward then runs the same stack on the item rows
+for all candidates, reading that cache.
 
 rlb_forward reproduces forward_decoupled exactly (up to float
 reassociation); it never recomputes anything candidate-independent.
@@ -21,16 +23,14 @@ from . import autodiff as ad
 from .blocks import (
     ModelConfig,
     ParameterStore,
-    _headwise_ffn,
-    _sublayer,
-    cross_attention,
     forward,
     head_mixing,
-    project_actions,
+    run_blocks,
+    sequence_embedding,
     task_logits,
 )
 from .errors import ConfigError, ShapeError
-from .features import Request, embed_actions
+from .features import Request, embed_nonseq_batch, split_heads
 
 
 def allocate_heads(d_ns_user: int, d_ns_item: int, n_heads: int) -> tuple[int, int]:
@@ -74,14 +74,17 @@ def head_mixing_masked(x, mask: np.ndarray) -> ad.Tensor:
     return ad.mul(head_mixing(x), ad.Tensor(mask))
 
 
+def _decoupling_mask(cfg: ModelConfig, caller: str) -> np.ndarray:
+    if not cfg.decoupling.enabled:
+        raise ConfigError(f"{caller} requires decoupling in the config")
+    return build_mask(cfg.n_heads, cfg.decoupling.n_user_heads, cfg.head_dim)
+
+
 def forward_decoupled(
     request: Request, candidate_index: int, store: ParameterStore
 ) -> np.ndarray:
     """Reference decoupled scoring: the full forward pass with the mask."""
-    cfg = store.config
-    if not cfg.decoupling.enabled:
-        raise ConfigError("forward_decoupled requires decoupling in the config")
-    mask = build_mask(cfg.n_heads, cfg.decoupling.n_user_heads, cfg.head_dim)
+    mask = _decoupling_mask(store.config, "forward_decoupled")
     return forward(request, candidate_index, store, mask=mask)
 
 
@@ -101,154 +104,42 @@ class LayerUserState:
 class SharedUserState:
     """Everything a request contributes independently of any candidate."""
 
-    e_user: np.ndarray  # user-side non-sequential concat
+    e_user: np.ndarray  # non-sequential concat read by the user heads
     x0_user: np.ndarray  # user head rows after split
     seq: np.ndarray | None  # (t, model_width) raw sequence embedding
     layers: list[LayerUserState]
     out_user: np.ndarray  # user head rows after the last block
 
 
-def _head_slice(w: ad.Tensor, lo: int, hi: int) -> ad.Tensor:
-    # shared FFNs carry a single broadcast stack
-    return w if w.shape[0] == 1 else w[lo:hi]
-
-
-def _user_masked_mixing(src: ad.Tensor, n_user: int, n_heads: int, chunk: int) -> ad.Tensor:
-    """Masked head mixing restricted to user rows.
-
-    Row i < n_user keeps chunks j < n_user (src row j, chunk i) and has
-    zeros in all item chunks.
-    """
-    g = src.reshape((n_user, n_heads, chunk))[:, :n_user, :]
-    mixed = g.swapaxes(0, 1).reshape((n_user, n_user * chunk))
-    zeros = ad.Tensor(np.zeros((n_user, (n_heads - n_user) * chunk)))
-    return ad.concat([mixed, zeros], axis=-1)
-
-
-def _item_mixing(
-    user_src: np.ndarray | None,
-    item_src: ad.Tensor,
-    n_user: int,
-    n_heads: int,
-    chunk: int,
-) -> ad.Tensor:
-    """Head-mixing rows for the item heads, assembled from the shared
-    user rows and the per-candidate item rows.  Item rows are unmasked,
-    so this equals the masked mixing of the full state."""
-    k, n_item = item_src.shape[0], item_src.shape[1]
-    i_chunks = item_src.reshape((k, n_item, n_heads, chunk))[:, :, n_user:, :]
-    mixed_item = i_chunks.swapaxes(1, 2)  # (k, n_item, n_item, chunk)
-    if n_user == 0:
-        return mixed_item.reshape((k, n_item, n_item * chunk))
-    u = ad.Tensor(user_src).reshape((n_user, n_heads, chunk))[:, n_user:, :]
-    u = u.swapaxes(0, 1).reshape((1, n_item, n_user, chunk))
-    u = ad.broadcast_to(u, (k, n_item, n_user, chunk))
-    full = ad.concat([u, mixed_item], axis=2)
-    return full.reshape((k, n_item, n_heads * chunk))
-
-
-def _ffn_rows(
-    x: ad.Tensor, bp, cfg: ModelConfig, lo: int, hi: int, which: str
-) -> ad.Tensor:
-    if which == "qm":
-        gate, up, down = bp.qm_gate, bp.qm_up, bp.qm_down
-    else:
-        gate, up, down = bp.of_gate, bp.of_up, bp.of_down
-    g, u, d = (_head_slice(w, lo, hi) for w in (gate, up, down))
-    return _headwise_ffn(x, g, u, d)
+def _one(t: ad.Tensor | None) -> np.ndarray | None:
+    # the single request's, single candidate's slice of a (1, 1, ...) tensor
+    return None if t is None else t.data[0, 0]
 
 
 def compute_shared_user_state(request: Request, store: ParameterStore) -> SharedUserState:
-    """Run all candidate-independent work of a request once."""
+    """Run all candidate-independent work of a request once: the block
+    stack on the user rows at one candidate, and the sequence keys and
+    values of every head."""
     cfg, schema = store.config, store.schema
-    if not cfg.decoupling.enabled:
-        raise ConfigError("shared user state requires decoupling in the config")
+    mask = _decoupling_mask(cfg, "shared user state")
     request.validate(schema)
-    n, dim = cfg.n_heads, cfg.head_dim
     n_u = cfg.decoupling.n_user_heads
-    chunk = dim // n
-    layout = store.layout
-    flags = cfg.ablations
-
+    batch = request.as_batch()
     with ad.no_grad():
-        user_fields = schema.user_fields()
-        if user_fields:
-            parts = [
-                store.tables[f.name].lookup(request.user_nonseq[j])
-                for j, f in enumerate(user_fields)
-            ]
-            e_user = ad.concat(parts, axis=-1)
-        else:
-            e_user = ad.Tensor(np.zeros(0))
-
-        if n_u > 0:
-            padded = e_user
-            if layout.user_pad:
-                padded = ad.concat([e_user, ad.Tensor(np.zeros(layout.user_pad))], axis=-1)
-            cols = padded.reshape((n_u, layout.slice_width, 1))
-            x_u = ad.matmul(store.dense["split.proj"][:n_u], cols).reshape((n_u, dim))
-        else:
-            x_u = ad.Tensor(np.zeros((0, dim)))
-        x0_user = x_u.data
-
-        actions = embed_actions(request, store.tables, schema)
-        s = None
-        if actions is not None:
-            s = ad.matmul(actions, ad.swapaxes(store.dense["seq.input_proj"], -1, -2))
-
-        layers: list[LayerUserState] = []
-        for l in range(cfg.n_blocks):
-            bp = store.block(l)
-            keys = values = None
-            if s is not None:
-                keys, values = project_actions(s, bp, cfg)
-
-            mix_src: dict[str, np.ndarray] = {}
-            if n_u > 0:
-                if not flags.wo_hm:
-
-                    def mixfn(xn: ad.Tensor) -> ad.Tensor:
-                        mix_src["user"] = xn.data
-                        return _user_masked_mixing(xn, n_u, n, chunk)
-
-                    p_u = _sublayer(x_u, bp.qm_norm, cfg, mixfn)
-                else:
-                    p_u = x_u
-                if flags.wo_qm_ffn:
-                    q_u = p_u
-                else:
-                    q_u = _sublayer(
-                        p_u, bp.qm_norm, cfg,
-                        lambda pn: _ffn_rows(pn, bp, cfg, 0, n_u, "qm"),
-                    )
-                ku = keys[:n_u] if keys is not None else None
-                vu = values[:n_u] if values is not None else None
-                z_u = cross_attention(q_u, ku, vu)
-                o_u = _sublayer(
-                    z_u, bp.of_norm, cfg, lambda zn: _ffn_rows(zn, bp, cfg, 0, n_u, "of")
-                )
-            else:
-                p_u = q_u = z_u = o_u = x_u
-
-            layers.append(
-                LayerUserState(
-                    mix_src_user=mix_src.get("user"),
-                    keys=keys.data if keys is not None else None,
-                    values=values.data if values is not None else None,
-                    q_user=q_u.data,
-                    z_user=z_u.data,
-                    out_user=o_u.data,
-                )
-            )
-            x_u = o_u
-
-        return SharedUserState(
-            e_user=e_user.data,
-            x0_user=x0_user,
-            seq=s.data if s is not None else None,
-            layers=layers,
-            out_user=x_u.data,
-        )
+        # user fields feed the user heads, or the item heads when there are none
+        e_user = embed_nonseq_batch(batch, store.tables, schema, user=n_u > 0, item=False)
+        x0 = split_heads(e_user, store.dense["split.proj"], store.layout, (0, n_u))
+        s = sequence_embedding(batch, store)
+        rec: list[dict] = []
+        out = run_blocks(x0, store, seq=s, mask=mask, rows=(0, n_u), record=rec)
+    keys = ("mix_src", "keys", "values", "q", "z", "out")  # LayerUserState's field order
+    return SharedUserState(
+        e_user=e_user.data.reshape(-1),
+        x0_user=_one(x0),
+        seq=None if s is None else s.data[0],
+        layers=[LayerUserState(*(_one(r.get(k)) for k in keys)) for r in rec],
+        out_user=_one(out),
+    )
 
 
 def rlb_forward(request: Request, store: ParameterStore) -> np.ndarray:
@@ -258,62 +149,17 @@ def rlb_forward(request: Request, store: ParameterStore) -> np.ndarray:
     forward_decoupled on each candidate.
     """
     cfg, schema = store.config, store.schema
-    if not cfg.decoupling.enabled:
-        raise ConfigError("rlb_forward requires decoupling in the config")
     state = compute_shared_user_state(request, store)
-    n, dim = cfg.n_heads, cfg.head_dim
-    n_u = cfg.decoupling.n_user_heads
-    n_g = n - n_u
-    chunk = dim // n
-    layout = store.layout
-    flags = cfg.ablations
-    k = request.n_candidates
-
+    n, n_u, k = cfg.n_heads, cfg.decoupling.n_user_heads, request.n_candidates
     with ad.no_grad():
-        item_fields = schema.item_fields()
-        if item_fields:
-            parts = [
-                store.tables[f.name].lookup(request.candidates[:, j])
-                for j, f in enumerate(item_fields)
-            ]
-            e_item = ad.concat(parts, axis=-1)
-        else:
-            e_item = ad.Tensor(np.zeros((k, 0)))
-        if layout.tail_pad:
-            e_item = ad.concat(
-                [e_item, ad.Tensor(np.zeros((k, layout.tail_pad)))], axis=-1
-            )
-        cols = e_item.reshape((k, n_g, layout.slice_width, 1))
-        x_g = ad.matmul(store.dense["split.proj"][n_u:], cols).reshape((k, n_g, dim))
-
-        for l in range(cfg.n_blocks):
-            bp = store.block(l)
-            st = state.layers[l]
-            if not flags.wo_hm:
-                mixfn = lambda xn: _item_mixing(st.mix_src_user, xn, n_u, n, chunk)
-                p_g = _sublayer(x_g, bp.qm_norm, cfg, mixfn)
-            else:
-                p_g = x_g
-            if flags.wo_qm_ffn:
-                q_g = p_g
-            else:
-                q_g = _sublayer(
-                    p_g, bp.qm_norm, cfg,
-                    lambda pn: _ffn_rows(pn, bp, cfg, n_u, n, "qm"),
-                )
-            kg = ad.Tensor(st.keys[n_u:]) if st.keys is not None else None
-            vg = ad.Tensor(st.values[n_u:]) if st.values is not None else None
-            z_g = cross_attention(q_g, kg, vg)
-            x_g = _sublayer(
-                z_g, bp.of_norm, cfg, lambda zn: _ffn_rows(zn, bp, cfg, n_u, n, "of")
-            )
-
-        if n_u > 0:
-            o_u = ad.broadcast_to(
-                ad.Tensor(state.out_user).reshape((1, n_u, dim)), (k, n_u, dim)
-            )
-            full = ad.concat([o_u, x_g], axis=1)
-        else:
-            full = x_g
-        logits = task_logits(full.reshape((k, cfg.model_width)), store)
-        return logits.data
+        e_item = embed_nonseq_batch(request.as_batch(), store.tables, schema, user=n_u == 0)
+        x = split_heads(e_item, store.dense["split.proj"], store.layout, (n_u, n))
+        # the mask leaves item rows whole, so they run without it
+        x = run_blocks(
+            x, store, rows=(n_u, n),
+            kv=[(layer.keys, layer.values) for layer in state.layers],
+            mix_prefix=[layer.mix_src_user for layer in state.layers],
+        )
+        user = ad.broadcast_to(ad.Tensor(state.out_user), (1, k, n_u, cfg.head_dim))
+        full = ad.concat([user, x], axis=-2)
+        return task_logits(full.reshape((k, cfg.model_width)), store).data

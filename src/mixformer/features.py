@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -172,6 +172,17 @@ class Request:
     def n_candidates(self) -> int:
         return self.candidates.shape[0]
 
+    def as_batch(self, candidates: slice = slice(None)) -> "RequestBatch":
+        """This request, with the chosen candidates, as a batch of one.
+        The arrays are views of the request's, not copies."""
+        return RequestBatch(
+            user_ids=np.array([self.user_id], dtype=np.int64),
+            user_nonseq=self.user_nonseq[None],
+            actions=self.actions[None],
+            candidates=self.candidates[None, candidates],
+            labels=None if self.labels is None else self.labels[None, candidates],
+        )
+
     def validate(self, schema: FeatureSchema) -> None:
         if self.user_nonseq.shape != (len(schema.user_fields()),):
             raise DataError("user_nonseq length does not match schema")
@@ -265,33 +276,51 @@ def head_layout(
     )
 
 
-def pad_for_heads(e_ns: ad.Tensor, layout: HeadLayout) -> ad.Tensor:
-    """Insert the layout's zero padding; works on any leading batch dims."""
-    if e_ns.shape[-1] != layout.user_width + layout.item_width:
+def pad_for_heads(
+    e_ns: ad.Tensor, layout: HeadLayout, heads: tuple[int, int] | None = None
+) -> ad.Tensor:
+    """Insert the layout's zero padding; works on any leading batch dims.
+
+    heads = (lo, hi) pads only the fields of head rows [lo, hi), which
+    must be whole sides: with user heads, rows [0, n_user_heads) hold the
+    user and context fields and the rest the item fields; without, every
+    row holds both.
+    """
+    n, n_u = layout.n_heads, layout.n_user_heads
+    # (first head, end head, field width, zero padding) of each side
+    sides = [(0, n, layout.user_width + layout.item_width, layout.tail_pad)]
+    if n_u:
+        sides = [(0, n_u, layout.user_width, layout.user_pad),
+                 (n_u, n, layout.item_width, layout.tail_pad)]
+    lo, hi = heads or (0, n)
+    sides = [s for s in sides if lo <= s[0] and s[1] <= hi]
+    width = sum(s[2] for s in sides)
+    if sum(s[1] - s[0] for s in sides) != hi - lo or e_ns.shape[-1] != width:
         raise ShapeError(
-            f"expected concat width {layout.user_width + layout.item_width}, "
-            f"got {e_ns.shape[-1]}"
+            f"concat width {e_ns.shape[-1]} does not fill head rows [{lo}, {hi}) "
+            f"of the layout, which take {width}"
         )
-    lead = e_ns.shape[:-1]
-    parts: list[ad.Tensor] = []
-    if layout.user_pad == 0 and layout.tail_pad == 0:
+    if not any(s[3] for s in sides):
         return e_ns
-    if layout.user_pad:
-        u = e_ns[..., : layout.user_width]
-        g = e_ns[..., layout.user_width :]
-        parts = [u, ad.Tensor(np.zeros(lead + (layout.user_pad,))), g]
-    else:
-        parts = [e_ns]
-    if layout.tail_pad:
-        parts.append(ad.Tensor(np.zeros(lead + (layout.tail_pad,))))
+    parts: list[ad.Tensor] = []
+    off = 0
+    for _, _, w, pad in sides:
+        parts.append(e_ns if w == width else e_ns[..., off : off + w])
+        if pad:
+            parts.append(ad.Tensor(np.zeros(e_ns.shape[:-1] + (pad,))))
+        off += w
     return ad.concat(parts, axis=-1)
 
 
-def split_heads(e_ns, projections, layout: HeadLayout) -> ad.Tensor:
-    """Pad, slice into n_heads pieces, and project each into model width.
+def split_heads(
+    e_ns, projections, layout: HeadLayout, heads: tuple[int, int] | None = None
+) -> ad.Tensor:
+    """Pad, slice into head pieces, and project each into model width.
 
     projections is a stacked (n_heads, model_dim, slice_width) tensor;
-    output is (..., n_heads, model_dim).
+    output is (..., n_heads, model_dim).  With heads = (lo, hi), e_ns holds
+    only the fields of head rows [lo, hi) (see pad_for_heads), and only
+    those rows are projected: output is (..., hi - lo, model_dim).
     """
     e_ns = ad.as_tensor(e_ns)
     projections = ad.as_tensor(projections)
@@ -301,43 +330,14 @@ def split_heads(e_ns, projections, layout: HeadLayout) -> ad.Tensor:
             f"projections {projections.shape} do not match layout "
             f"(n_heads={layout.n_heads}, slice_width={layout.slice_width})"
         )
-    padded = pad_for_heads(e_ns, layout)
+    padded = pad_for_heads(e_ns, layout, heads)
+    if heads is not None and heads != (0, n):
+        projections = projections[heads[0] : heads[1]]
+        n = heads[1] - heads[0]
     lead = padded.shape[:-1]
     sliced = padded.reshape(lead + (n, width, 1))
     out = ad.matmul(projections, sliced)
     return out.reshape(lead + (n, model_dim))
-
-
-def embed_nonseq(
-    request: Request,
-    candidate_index: int,
-    tables: dict[str, EmbeddingTable],
-    schema: FeatureSchema,
-) -> ad.Tensor:
-    """Concatenated non-sequential embedding for one candidate: user
-    and context fields first, then item fields."""
-    if not 0 <= candidate_index < request.n_candidates:
-        raise DataError(f"candidate index {candidate_index} out of range")
-    parts: list[ad.Tensor] = []
-    for j, f in enumerate(schema.user_fields()):
-        parts.append(tables[f.name].lookup(request.user_nonseq[j]))
-    cand = request.candidates[candidate_index]
-    for j, f in enumerate(schema.item_fields()):
-        parts.append(tables[f.name].lookup(cand[j]))
-    return ad.concat(parts, axis=-1)
-
-
-def embed_actions(
-    request: Request, tables: dict[str, EmbeddingTable], schema: FeatureSchema
-) -> ad.Tensor | None:
-    """(T, action_dim) concat of per-action field embeddings; None if T=0."""
-    if request.seq_len == 0:
-        return None
-    parts = [
-        tables[f"action:{f.name}"].lookup(request.actions[:, j])
-        for j, f in enumerate(schema.action_fields)
-    ]
-    return ad.concat(parts, axis=-1)
 
 
 @dataclass
@@ -384,26 +384,35 @@ def stack_requests(requests: Sequence[Request]) -> RequestBatch:
 
 
 def embed_nonseq_batch(
-    batch: RequestBatch, tables: dict[str, EmbeddingTable], schema: FeatureSchema
+    batch: RequestBatch,
+    tables: dict[str, EmbeddingTable],
+    schema: FeatureSchema,
+    user: bool = True,
+    item: bool = True,
 ) -> ad.Tensor:
-    """(B, K, d_ns) non-sequential concat for a stacked batch."""
-    b, k = batch.n_requests, batch.n_candidates
-    user_parts = [
-        tables[f.name].lookup(batch.user_nonseq[:, j])
-        for j, f in enumerate(schema.user_fields())
-    ]
-    item_parts = [
-        tables[f.name].lookup(batch.candidates[:, :, j])
-        for j, f in enumerate(schema.item_fields())
-    ]
-    user = ad.concat(user_parts, axis=-1) if user_parts else None
-    item = ad.concat(item_parts, axis=-1) if item_parts else None
-    if user is None:
-        return item
-    user = ad.broadcast_to(user.reshape((b, 1, schema.d_ns_user)), (b, k, schema.d_ns_user))
-    if item is None:
-        return user
-    return ad.concat([user, item], axis=-1)
+    """(B, K, d_ns) non-sequential concat for a stacked batch.
+
+    user=False leaves out the user and context fields.  item=False leaves
+    out the item fields, looks up no item table, and gives one row per
+    request: (B, 1, d_ns_user).
+    """
+    b = batch.n_requests
+    k = batch.n_candidates if item else 1
+    parts: list[ad.Tensor] = []
+    if user and schema.user_fields():
+        u = ad.concat([
+            tables[f.name].lookup(batch.user_nonseq[:, j])
+            for j, f in enumerate(schema.user_fields())
+        ], axis=-1)
+        parts.append(ad.broadcast_to(u.reshape((b, 1, u.shape[-1])), (b, k, u.shape[-1])))
+    if item:
+        parts += [
+            tables[f.name].lookup(batch.candidates[:, :, j])
+            for j, f in enumerate(schema.item_fields())
+        ]
+    if not parts:
+        return ad.Tensor(np.zeros((b, k, 0)))
+    return ad.concat(parts, axis=-1)
 
 
 def embed_actions_batch(

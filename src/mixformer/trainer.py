@@ -11,8 +11,8 @@ are rectangular, shuffled deterministically per epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -224,15 +224,6 @@ class MetricSummary:
     n_users: int
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def predict(
     requests: Sequence[Request],
     store: ParameterStore,
@@ -255,7 +246,7 @@ def predict(
             sel = idx[lo : lo + per]
             batch = stack_requests([requests[i] for i in sel])
             logits = batched_forward(batch, store, mask)
-            p = _sigmoid(logits)
+            p = ad.stable_sigmoid(logits)
             k = batch.n_candidates
             order = np.repeat(np.array(sel), k)
             chunks.append(

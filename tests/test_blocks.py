@@ -266,6 +266,13 @@ class TestForward:
         )
         assert not np.allclose(mx.forward(changed, 0, store), base)
 
+    def test_candidate_index_out_of_range(self, tiny_schema, tiny_config):
+        store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
+        req = random_request(tiny_schema, np.random.default_rng(8), n_candidates=3)
+        for bad in (-1, 3):
+            with pytest.raises(mx.DataError):
+                mx.forward(req, bad, store)
+
     def test_candidate_index_selects_item(self, tiny_schema, tiny_config):
         rng = np.random.default_rng(8)
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)

@@ -7,12 +7,24 @@ import numpy as np
 import pytest
 
 import mixformer as mx
+from mixformer import autodiff as ad
 
 from conftest import random_request
 
+# the ablations the decoupled path supports (hm_to_sa cannot be decoupled)
+VARIANTS = {
+    "default": {},
+    "post_ln": {"post_ln": True},
+    "wo_hm": {"wo_hm": True},
+    "wo_qm_ffn": {"wo_qm_ffn": True},
+    "shared_seq_ffn": {"shared_seq_ffn": True},
+    "shared_of_ffn": {"shared_of_ffn": True},
+    "wo_hm+wo_qm_ffn": {"wo_hm": True, "wo_qm_ffn": True},
+}
+
 
 def decoupled_setup(seed, n_heads=4, head_dim=16, n_blocks=2, seq_len=5,
-                    d_user=None, d_item=None):
+                    d_user=None, d_item=None, n_user_heads=None):
     rng = np.random.default_rng(seed)
     schema = mx.FeatureSchema(
         nonseq_fields=(
@@ -23,6 +35,8 @@ def decoupled_setup(seed, n_heads=4, head_dim=16, n_blocks=2, seq_len=5,
         max_seq_len=max(seq_len, 1),
     )
     n_u, n_g = mx.allocate_heads(schema.d_ns_user, schema.d_ns_item, n_heads)
+    if n_user_heads is not None:
+        n_u, n_g = n_user_heads, n_heads - n_user_heads
     cfg = mx.ModelConfig(
         n_heads=n_heads, head_dim=head_dim, n_blocks=n_blocks,
         max_seq_len=max(seq_len, 1),
@@ -149,14 +163,26 @@ class TestRlbForward:
         with pytest.raises(mx.ConfigError):
             mx.compute_shared_user_state(req, store)
 
-    def test_post_ln_variant_also_matches(self):
-        schema, cfg, store, req, rng = decoupled_setup(11)
-        cfg = dataclasses.replace(cfg, ablations=mx.AblationFlags(post_ln=True))
+    @pytest.mark.parametrize("seq_len", [5, 0], ids=["seq", "no_seq"])
+    @pytest.mark.parametrize("n_user_heads", [0, 1, 2, 3])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_post_ln_variant_also_matches(self, variant, n_user_heads, seq_len):
+        # post_ln and every other decouplable variant, at every head split
+        # (n_user_heads=0 packs the user fields into the item heads), with
+        # and without a sequence; the executed FLOPs must equal the meter's
+        schema, cfg, store, req, rng = decoupled_setup(
+            11, seq_len=seq_len, n_user_heads=n_user_heads
+        )
+        cfg = dataclasses.replace(cfg, ablations=mx.AblationFlags(**VARIANTS[variant]))
         store = mx.init_parameters(schema, cfg, seed=11)
         per = np.stack(
             [mx.forward_decoupled(req, k, store) for k in range(req.n_candidates)]
         )
-        np.testing.assert_allclose(mx.rlb_forward(req, store), per, rtol=1e-9)
+        with ad.FlopTrace() as trace:
+            rlb = mx.rlb_forward(req, store)
+        np.testing.assert_allclose(rlb, per, rtol=1e-9)
+        meter = mx.count_flops(cfg, schema, seq_len, req.n_candidates, rlb=True)
+        assert trace.total == meter.total
 
 
 class TestDegenerateMask:

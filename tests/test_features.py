@@ -1,5 +1,7 @@
 """Schema, embedding, head layout, and file-format behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,9 @@ class TestSchema:
             user_id=1, user_nonseq=[1, 2],
             actions=np.array([[0, 0]]), candidates=np.array([[3]]),
         )
-        a = mx.embed_nonseq(req, 0, tables, grouped)
-        b = mx.embed_nonseq(req, 0, tables, interleaved)
+        batch = mx.stack_requests([req])
+        a = mx.embed_nonseq_batch(batch, tables, grouped)
+        b = mx.embed_nonseq_batch(batch, tables, interleaved)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_bad_side_rejected(self):
@@ -150,6 +153,20 @@ class TestSplitHeads:
                     batched[i, j], mx.split_heads(x[i, j], proj, lay).data
                 )
 
+    def test_head_range_projects_only_its_side(self):
+        rng = np.random.default_rng(3)
+        schema = mx.schema_from_widths(5, 6, 1, 1)
+        lay = mx.head_layout(schema, n_heads=4, n_user_heads=1)
+        proj = rng.standard_normal((4, 7, lay.slice_width))
+        x = rng.standard_normal((2, 11))
+        full = mx.split_heads(x, proj, lay).data
+        user = mx.split_heads(x[:, :5], proj, lay, (0, 1)).data
+        item = mx.split_heads(x[:, 5:], proj, lay, (1, 4)).data
+        np.testing.assert_array_equal(user, full[:, :1])
+        np.testing.assert_array_equal(item, full[:, 1:])
+        with pytest.raises(mx.ShapeError):
+            mx.split_heads(x[:, 5:], proj, lay, (2, 4))
+
 
 class TestBatching:
     def test_stack_requires_common_shape(self, tiny_schema):
@@ -159,22 +176,24 @@ class TestBatching:
         with pytest.raises(mx.DataError):
             mx.stack_requests([a, b])
 
-    def test_batch_embedding_matches_single(self, tiny_schema):
+    def test_side_embeddings_are_slices_of_the_concat(self, tiny_schema):
         rng = np.random.default_rng(3)
-        reqs = [random_request(tiny_schema, rng, seq_len=4) for _ in range(3)]
         tables = mx.make_tables(tiny_schema, rng)
-        batch = mx.stack_requests(reqs)
-        e = mx.embed_nonseq_batch(batch, tables, tiny_schema).data
-        for b, r in enumerate(reqs):
-            for k in range(r.n_candidates):
-                np.testing.assert_array_equal(
-                    e[b, k], mx.embed_nonseq(r, k, tables, tiny_schema).data
-                )
-        s = mx.embed_actions_batch(batch, tables, tiny_schema).data
-        for b, r in enumerate(reqs):
-            np.testing.assert_array_equal(
-                s[b], mx.embed_actions(r, tables, tiny_schema).data
-            )
+        batch = mx.stack_requests([random_request(tiny_schema, rng) for _ in range(2)])
+        full = mx.embed_nonseq_batch(batch, tables, tiny_schema).data
+        user = mx.embed_nonseq_batch(batch, tables, tiny_schema, item=False).data
+        item = mx.embed_nonseq_batch(batch, tables, tiny_schema, user=False).data
+        d_u = tiny_schema.d_ns_user
+        assert user.shape == (2, 1, d_u)
+        np.testing.assert_array_equal(np.broadcast_to(user, (2, 3, d_u)), full[..., :d_u])
+        np.testing.assert_array_equal(item, full[..., d_u:])
+
+    def test_as_batch_matches_stack(self, tiny_schema):
+        req = random_request(tiny_schema, np.random.default_rng(4))
+        one = dataclasses.replace(req, candidates=req.candidates[1:2], labels=req.labels[1:2])
+        a, b = req.as_batch(slice(1, 2)), mx.stack_requests([one])
+        for name in ("user_ids", "user_nonseq", "actions", "candidates", "labels"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestFileFormats:
