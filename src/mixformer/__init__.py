@@ -131,7 +131,7 @@ from .trainer import (
     plan_batches,
     predict,
     run_ablation,
-    train_epoch,
+    train_steps,
     uauc,
 )
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -385,7 +386,7 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = stable_sigmoid(x.data)
+    out = expit(x.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -396,7 +397,7 @@ def sigmoid(x) -> Tensor:
 def swish(x) -> Tensor:
     """x * sigmoid(x), the gate activation of the gated FFN."""
     x = as_tensor(x)
-    s = stable_sigmoid(x.data)
+    s = expit(x.data)
     out = x.data * s
 
     def vjp(g):
@@ -493,16 +494,7 @@ def bce_with_logits(logits, targets: np.ndarray) -> Tensor:
     out = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
     def vjp(g):
-        return (g * (stable_sigmoid(z) - y),)
+        return (g * (expit(z) - y),)
 
     return _make(out, (logits,), vjp)
 
-
-def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Elementwise logistic of an ndarray that never overflows exp."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out

@@ -20,8 +20,10 @@ serving (user rows once per request, item rows per candidate).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -658,7 +660,9 @@ def save_checkpoint(
 
     dense_opt maps dense parameter names to their RMSProp accumulators;
     the Adagrad accumulators travel with their tables.  extra must be
-    JSON-serializable (step counters and the like).
+    JSON-serializable (step counters and the like).  The file is written
+    beside path and renamed over it, so a failed write leaves the previous
+    checkpoint whole.
     """
     header = {
         "config": config_to_dict(store.config),
@@ -670,18 +674,27 @@ def save_checkpoint(
         "extra": extra or {},
     }
     hb = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CK_MAGIC)
-        fh.write(struct.pack("<II", _CK_VERSION, len(hb)))
-        fh.write(hb)
-        for name in header["dense"]:
-            _write_array(fh, store.dense[name].data)
-        for name in header["tables"]:
-            _write_array(fh, store.tables[name].weight.data)
-            _write_array(fh, store.tables[name].adagrad_acc)
-        if dense_opt is not None:
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CK_MAGIC)
+            fh.write(struct.pack("<II", _CK_VERSION, len(hb)))
+            fh.write(hb)
             for name in header["dense"]:
-                _write_array(fh, dense_opt[name])
+                _write_array(fh, store.dense[name].data)
+            for name in header["tables"]:
+                _write_array(fh, store.tables[name].weight.data)
+                _write_array(fh, store.tables[name].adagrad_acc)
+            if dense_opt is not None:
+                for name in header["dense"]:
+                    _write_array(fh, dense_opt[name])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[ParameterStore, dict[str, np.ndarray] | None, dict]:

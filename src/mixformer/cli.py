@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from .features import (
     Dataset,
     read_dataset,
     read_schema,
-    stack_requests,
     write_dataset,
     write_oracle,
     write_schema,
@@ -55,8 +55,8 @@ from .trainer import (
     batch_loss,
     evaluate,
     fit,
-    plan_batches,
     run_ablation,
+    train_steps,
 )
 
 DEFAULT_SEQ_POINTS = (512, 2048, 8192, 10000)
@@ -224,8 +224,8 @@ class TrainRun:
     eval_every: int = 0
     save_every: int = 0
     decouple: bool = False
-    lr_dense: float = 0.01
-    lr_sparse: float = 0.05
+    lr_dense: float = OptimizerConfig.lr_dense
+    lr_sparse: float = OptimizerConfig.lr_sparse
 
 
 def _split_dataset(dataset: Dataset, fraction: float):
@@ -259,17 +259,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
     train_set, holdout = _split_dataset(dataset, run.holdout_fraction)
     opt_cfg = OptimizerConfig(lr_dense=run.lr_dense, lr_sparse=run.lr_sparse)
+    if run.max_steps is not None and run.max_steps < 0:
+        raise ConfigError("max_steps must be >= 0")
 
-    start_epoch = 0
-    start_step = 0
+    start = (0, 0)
+    global_step = 0
     if args.resume:
         store, dense_opt, extra = load_checkpoint(args.resume)
         if dense_opt is None:
             raise DataError(f"{args.resume} has no optimizer state; cannot resume")
         opt = Optimizer(store.dense, store.tables, opt_cfg)
         opt.rms_acc = dense_opt
-        start_epoch = int(extra.get("epoch", 0))
-        start_step = int(extra.get("step_in_epoch", 0))
+        start = (int(extra.get("epoch", 0)), int(extra.get("step_in_epoch", 0)))
+        global_step = int(extra.get("global_step", 0))
         cfg = store.config
     else:
         cfg = _model_config(run)
@@ -292,52 +294,33 @@ def cmd_train(args: argparse.Namespace) -> int:
         log_fh.write("# " + json.dumps(resolved, sort_keys=True) + "\n")
         log_fh.write("step,epoch,loss,holdout_auc0\n")
 
+    def save(epoch: int, step: int, global_step: int) -> None:
+        save_checkpoint(
+            str(out / "checkpoint.bin"),
+            store,
+            dense_opt=opt.rms_acc,
+            extra={"epoch": epoch, "step_in_epoch": step, "global_step": global_step},
+        )
+
+    steps = train_steps(
+        train_set.requests, opt, lambda batch: batch_loss(batch, store, mask),
+        run.batch_size, run.seed, run.epochs, start,
+    )
+    epoch, step = start
     done = 0
     t0 = time.perf_counter()
     try:
-        for epoch in range(start_epoch, run.epochs):
-            plan = plan_batches(train_set.requests, run.batch_size, run.seed, epoch)
-            step = start_step if epoch == start_epoch else 0
-            while step < len(plan):
-                if run.max_steps is not None and done >= run.max_steps:
-                    break
-                batch = stack_requests([train_set.requests[i] for i in plan[step]])
-                opt.zero_grad()
-                loss = batch_loss(batch, store, mask)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite loss at epoch {epoch} step {step}")
-                loss.backward()
-                opt.step()
-                step += 1
-                done += 1
-                auc_cell = ""
-                if run.eval_every and holdout and done % run.eval_every == 0:
-                    summary = evaluate(holdout, store, mask)
-                    auc_cell = f"{summary.auc[0]:.6f}"
-                log_fh.write(f"{done},{epoch},{value:.9f},{auc_cell}\n")
-                if run.save_every and done % run.save_every == 0:
-                    save_checkpoint(
-                        str(out / "checkpoint.bin"),
-                        store,
-                        dense_opt=opt.rms_acc,
-                        extra={"epoch": epoch, "step_in_epoch": step},
-                    )
-            if run.max_steps is not None and done >= run.max_steps:
-                save_checkpoint(
-                    str(out / "checkpoint.bin"),
-                    store,
-                    dense_opt=opt.rms_acc,
-                    extra={"epoch": epoch, "step_in_epoch": step},
-                )
-                break
-        else:
-            save_checkpoint(
-                str(out / "checkpoint.bin"),
-                store,
-                dense_opt=opt.rms_acc,
-                extra={"epoch": run.epochs, "step_in_epoch": 0},
-            )
+        for epoch, step, value in islice(steps, run.max_steps):
+            done += 1
+            global_step += 1
+            auc_cell = ""
+            if run.eval_every and holdout and global_step % run.eval_every == 0:
+                summary = evaluate(holdout, store, mask)
+                auc_cell = f"{summary.auc[0]:.6f}"
+            log_fh.write(f"{global_step},{epoch},{value:.9f},{auc_cell}\n")
+            if run.save_every and global_step % run.save_every == 0:
+                save(epoch, step, global_step)
+        save(epoch, step, global_step)
     finally:
         log_fh.close()
 
@@ -614,7 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int)
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--max-steps", dest="max_steps", type=int)
+    t.add_argument(
+        "--max-steps", dest="max_steps", type=int,
+        help="optimizer steps in this invocation, not counting steps before --resume",
+    )
     t.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
     t.add_argument("--eval-every", dest="eval_every", type=int)
     t.add_argument("--save-every", dest="save_every", type=int)

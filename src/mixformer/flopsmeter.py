@@ -29,9 +29,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
-from .blocks import AblationFlags, DecoupleConfig, ModelConfig, init_parameters
+from .blocks import DecoupleConfig, ModelConfig, init_parameters
 from .errors import ConfigError
 from .features import ActionField, FeatureField, FeatureSchema, head_layout
 

@@ -7,7 +7,7 @@ autodiff ops, so there is exactly one implementation of each formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

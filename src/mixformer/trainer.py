@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.special import expit
 from scipy.stats import rankdata
 
 from . import autodiff as ad
@@ -31,7 +33,7 @@ from .features import Dataset, EmbeddingTable, Request, RequestBatch, stack_requ
 
 @dataclass
 class OptimizerConfig:
-    lr_dense: float = 0.01
+    lr_dense: float = 0.003
     rms_decay: float = 0.9
     rms_eps: float = 1e-8
     lr_sparse: float = 0.05
@@ -90,14 +92,24 @@ class Optimizer:
             table.weight.grad = None
 
 
-def batch_loss(batch: RequestBatch, store: ParameterStore, mask=None) -> ad.Tensor:
-    """Mean over impressions of summed per-task BCE; scalar tensor."""
-    if batch.labels is None:
+def bce_loss(logits: ad.Tensor, labels: np.ndarray | None) -> ad.Tensor:
+    """Mean over impressions of summed per-task BCE on (..., n_tasks) logits."""
+    if labels is None:
         raise ConfigError("training batches need labels")
-    logits = batched_forward_tensor(batch, store, mask)
-    losses = ad.bce_with_logits(logits, batch.labels)
-    per_impression = ad.sum_(losses, axis=-1)
-    return ad.mean(per_impression)
+    return ad.mean(ad.sum_(ad.bce_with_logits(logits, labels), axis=-1))
+
+
+def batch_loss(batch: RequestBatch, store: ParameterStore, mask=None) -> ad.Tensor:
+    """The model's training loss on one batch; scalar tensor."""
+    return bce_loss(batched_forward_tensor(batch, store, mask), batch.labels)
+
+
+def _shape_groups(requests: Sequence[Request]) -> dict[tuple[int, int], list[int]]:
+    """Request indices keyed by (seq_len, K), so each group stacks."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, r in enumerate(requests):
+        groups.setdefault((r.seq_len, r.n_candidates), []).append(i)
+    return groups
 
 
 def plan_batches(
@@ -108,9 +120,7 @@ def plan_batches(
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     rng = np.random.default_rng([seed, epoch])
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(requests):
-        groups.setdefault((r.seq_len, r.n_candidates), []).append(i)
+    groups = _shape_groups(requests)
     batches: list[list[int]] = []
     for key in sorted(groups):
         idx = np.array(groups[key])
@@ -123,39 +133,35 @@ def plan_batches(
     return [batches[i] for i in order]
 
 
-def train_epoch(
-    dataset: Dataset,
-    store: ParameterStore,
+def train_steps(
+    requests: Sequence[Request],
     optimizer: Optimizer,
-    batch_size: int = 256,
-    epoch: int = 0,
-    seed: int = 0,
-    mask=None,
-    start_step: int = 0,
-    max_steps: int | None = None,
-) -> list[float]:
-    """One pass over the dataset; returns the per-step loss curve.
+    loss_fn: Callable[[RequestBatch], ad.Tensor],
+    batch_size: int,
+    seed: int,
+    epochs: int,
+    start: tuple[int, int] = (0, 0),
+) -> Iterator[tuple[int, int, float]]:
+    """The optimizer loop: one step per batch of each epoch's plan.
 
-    start_step skips already-consumed batches of this epoch's plan, so a
-    resumed run retraces the interrupted one exactly.
+    Yields (epoch, next_step_in_epoch, loss) after each Optimizer.step;
+    bound the run with itertools.islice.  start=(epoch, step) skips the
+    batches a yielded position has already consumed, so a run resumed
+    from it retraces the interrupted one exactly.
     """
-    plan = plan_batches(dataset.requests, batch_size, seed, epoch)
-    losses: list[float] = []
-    for step, batch_idx in enumerate(plan):
-        if step < start_step:
-            continue
-        if max_steps is not None and len(losses) >= max_steps:
-            break
-        batch = stack_requests([dataset.requests[i] for i in batch_idx])
-        optimizer.zero_grad()
-        loss = batch_loss(batch, store, mask)
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise NumericError(f"non-finite loss {value} at epoch {epoch} step {step}")
-        loss.backward()
-        optimizer.step()
-        losses.append(value)
-    return losses
+    first_epoch, first_step = start
+    for epoch in range(first_epoch, epochs):
+        plan = plan_batches(requests, batch_size, seed, epoch)
+        for step in range(first_step if epoch == first_epoch else 0, len(plan)):
+            batch = stack_requests([requests[i] for i in plan[step]])
+            optimizer.zero_grad()
+            loss = loss_fn(batch)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise NumericError(f"non-finite loss {value} at epoch {epoch} step {step}")
+            loss.backward()
+            optimizer.step()
+            yield epoch, step + 1, value
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -224,20 +230,31 @@ class MetricSummary:
     n_users: int
 
 
+def summarize(probs: np.ndarray, labels: np.ndarray, users: np.ndarray) -> MetricSummary:
+    """Per-task AUC, per-user AUC and logloss of (n_impressions, n_tasks) scores."""
+    n_tasks = probs.shape[1]
+    return MetricSummary(
+        auc=[auc(probs[:, t], labels[:, t]) for t in range(n_tasks)],
+        uauc=[uauc(probs[:, t], labels[:, t], users) for t in range(n_tasks)],
+        logloss=[logloss(probs[:, t], labels[:, t]) for t in range(n_tasks)],
+        n_impressions=int(probs.shape[0]),
+        n_users=int(np.unique(users).size),
+    )
+
+
 def predict(
     requests: Sequence[Request],
-    store: ParameterStore,
-    mask=None,
+    logits_fn: Callable[[RequestBatch], np.ndarray],
     batch_size: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scores for every impression: (probs, labels, user_ids), each with
-    impressions flattened in request order."""
-    probs: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    users: list[np.ndarray] = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(requests):
-        groups.setdefault((r.seq_len, r.n_candidates), []).append(i)
+    impressions flattened in request order.
+
+    Requests are scored in stacks of one (seq_len, K) shape and about
+    batch_size impressions; logits_fn maps a stack to (B, K, n_tasks)
+    logits.
+    """
+    groups = _shape_groups(requests)
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for key in sorted(groups):
         idx = groups[key]
@@ -245,8 +262,7 @@ def predict(
         for lo in range(0, len(idx), per):
             sel = idx[lo : lo + per]
             batch = stack_requests([requests[i] for i in sel])
-            logits = batched_forward(batch, store, mask)
-            p = ad.stable_sigmoid(logits)
+            p = expit(logits_fn(batch))
             k = batch.n_candidates
             order = np.repeat(np.array(sel), k)
             chunks.append(
@@ -270,15 +286,7 @@ def predict(
 def evaluate(
     requests: Sequence[Request], store: ParameterStore, mask=None
 ) -> MetricSummary:
-    p, y, u = predict(requests, store, mask)
-    n_tasks = p.shape[1]
-    return MetricSummary(
-        auc=[auc(p[:, t], y[:, t]) for t in range(n_tasks)],
-        uauc=[uauc(p[:, t], y[:, t], u) for t in range(n_tasks)],
-        logloss=[logloss(p[:, t], y[:, t]) for t in range(n_tasks)],
-        n_impressions=int(p.shape[0]),
-        n_users=int(np.unique(u).size),
-    )
+    return summarize(*predict(requests, lambda batch: batched_forward(batch, store, mask)))
 
 
 @dataclass
@@ -301,25 +309,15 @@ def fit(
     max_steps: int | None = None,
 ) -> FitResult:
     """Initialize, train, and optionally evaluate in one call."""
+    if max_steps is not None and max_steps < 0:
+        raise ConfigError("max_steps must be >= 0")
     store = init_parameters(dataset.schema, config, seed)
     opt = Optimizer(store.dense, store.tables, optimizer_config)
-    losses: list[float] = []
-    for epoch in range(epochs):
-        remaining = None if max_steps is None else max_steps - len(losses)
-        if remaining is not None and remaining <= 0:
-            break
-        losses.extend(
-            train_epoch(
-                dataset,
-                store,
-                opt,
-                batch_size=batch_size,
-                epoch=epoch,
-                seed=seed,
-                mask=mask,
-                max_steps=remaining,
-            )
-        )
+    steps = train_steps(
+        dataset.requests, opt, lambda batch: batch_loss(batch, store, mask),
+        batch_size, seed, epochs,
+    )
+    losses = [loss for _, _, loss in islice(steps, max_steps)]
     metrics = evaluate(holdout, store, mask) if holdout else None
     return FitResult(losses=losses, metrics=metrics, store=store, optimizer=opt)
 

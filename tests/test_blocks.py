@@ -322,6 +322,31 @@ class TestCheckpoint:
         with pytest.raises(mx.DataError):
             mx.load_checkpoint(str(p))
 
+    def test_failed_write_keeps_previous_checkpoint(
+        self, tmp_path, tiny_schema, tiny_config, monkeypatch
+    ):
+        old = mx.init_parameters(tiny_schema, tiny_config, seed=4)
+        p = tmp_path / "ck.bin"
+        mx.save_checkpoint(str(p), old, extra={"step": 1})
+        real_write = mx.blocks._write_array
+        calls = []
+
+        def failing_write(fh, arr):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_write(fh, arr)
+
+        monkeypatch.setattr(mx.blocks, "_write_array", failing_write)
+        new = mx.init_parameters(tiny_schema, tiny_config, seed=5)
+        with pytest.raises(OSError, match="disk full"):
+            mx.save_checkpoint(str(p), new, extra={"step": 2})
+        back, _, extra = mx.load_checkpoint(str(p))
+        assert extra == {"step": 1}
+        for name in old.dense:
+            np.testing.assert_array_equal(back.dense[name].data, old.dense[name].data)
+        assert [f.name for f in tmp_path.iterdir()] == ["ck.bin"]
+
     def test_loaded_model_scores_identically(self, tmp_path, tiny_schema, tiny_config):
         rng = np.random.default_rng(9)
         store = mx.init_parameters(tiny_schema, tiny_config, seed=4)

@@ -219,6 +219,34 @@ class TestTrain:
         ]
         assert loss(straight) == resumed
 
+    def test_resume_continues_step_column(self, corpus, tmp_path):
+        args = ["--data", str(corpus), "--batch-size", "15", "--save-every", "1"]
+        part1 = tmp_path / "part1"
+        assert main(["train", *args, "--out", str(part1), "--max-steps", "3"]) == 0
+        part2 = tmp_path / "part2"
+        rc = main([
+            "train", *args, "--out", str(part2), "--max-steps", "3",
+            "--resume", str(part1 / "checkpoint.bin"),
+        ])
+        assert rc == 0
+        rows = (part2 / "train_log.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["4", "5", "6"]
+        _, _, extra = mx.load_checkpoint(str(part2 / "checkpoint.bin"))
+        assert extra["global_step"] == 6
+
+    def test_default_learning_rate_does_not_diverge(self, tmp_path):
+        data = tmp_path / "data"
+        assert main([
+            "gen", "--out", str(data), "--users", "200", "--items", "60",
+            "--requests", "400", "--seed", "0",
+        ]) == 0
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), "--max-steps", "6"]) == 0
+        _, _, rows = read_log(out / "train_log.csv")
+        losses = [float(r.split(",")[2]) for r in rows]
+        assert len(losses) == 6
+        assert max(losses) < 10.0
+
     def test_resume_needs_optimizer_state(self, corpus, tmp_path):
         out = tmp_path / "run"
         main(["train", "--data", str(corpus), "--out", str(out), "--max-steps", "1"])
@@ -251,6 +279,9 @@ class TestTrain:
         assert main([
             "train", "--data", str(corpus), "--out", out,
             "--preset", "small-reported",
+        ]) == 2
+        assert main([
+            "train", "--data", str(corpus), "--out", out, "--max-steps", "-1",
         ]) == 2
         with np.errstate(all="ignore"):
             assert main([

@@ -206,7 +206,7 @@ class TestLossAndTraining:
                 random_request(tiny_schema, rng, seq_len=5, n_candidates=3),
                 random_request(tiny_schema, rng, seq_len=3, n_candidates=2)]
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
-        probs, labels, users = mx.predict(reqs, store)
+        probs, labels, users = mx.predict(reqs, lambda batch: mx.batched_forward(batch, store))
         assert probs.shape == (7, 2)
         expected_users = np.concatenate([
             np.full(r.n_candidates, r.user_id) for r in reqs
