@@ -12,7 +12,7 @@ if "MIXFORMER_NUM_THREADS" in _os.environ:
     for _k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_k, _v)
 
-from .autodiff import FlopTrace, Tensor, no_grad
+from .autodiff import FlopTrace, GradCheckReport, Tensor, grad_check, no_grad
 from .blocks import (
     AblationFlags,
     BlockParams,
@@ -25,6 +25,7 @@ from .blocks import (
     config_to_dict,
     cross_attention,
     forward,
+    glorot_uniform,
     head_mixing,
     init_parameters,
     load_checkpoint,
@@ -100,19 +101,6 @@ from .flopsmeter import (
     scaling_report,
     schema_from_widths,
     verify_params,
-)
-from .mathcore import (
-    DifferentiableOp,
-    FfnParams,
-    GradCheckReport,
-    NormParams,
-    glorot_uniform,
-    grad_check,
-    layer_norm,
-    make_differentiable,
-    rms_norm,
-    softmax,
-    swiglu_ffn,
 )
 from .trainer import (
     ABLATION_NAMES,

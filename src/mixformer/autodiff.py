@@ -4,7 +4,8 @@ A Tensor wraps a float64 ndarray plus an optional backward closure; ops
 build a DAG and Tensor.backward() walks it in reverse topological order.
 Only what the model needs is implemented: broadcast-aware arithmetic,
 matmul, shape ops, embedding gather, and fused softmax / rms_norm /
-layer_norm / swish / binary cross-entropy.
+layer_norm / swish / binary cross-entropy.  grad_check compares any
+Tensor function's backward pass against central finite differences.
 
 Every op also reports a FLOP count to any active FlopTrace.  The
 convention is fixed across the package so the analytic cost meter can be
@@ -21,6 +22,7 @@ ndarrays.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -498,3 +500,74 @@ def bce_with_logits(logits, targets: np.ndarray) -> Tensor:
 
     return _make(out, (logits,), vjp)
 
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    n_coordinates: int
+    tolerance: float
+    worst_input: int = -1
+    worst_coord: int = -1
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tolerance
+
+
+def grad_check(
+    fn: Callable[..., Tensor],
+    inputs: Sequence[np.ndarray],
+    tolerance: float = 1e-4,
+    seed: int = 0,
+    step: float = 1e-5,
+    max_coords: int | None = None,
+) -> GradCheckReport:
+    """Compare fn's backward pass against central finite differences.
+
+    fn maps one Tensor per input array to a Tensor.  A fixed random
+    cotangent u is contracted with the output, so the scalar
+    s(x) = <u, fn(x)> has gradient J^T u, which backward must reproduce
+    coordinate by coordinate.  Relative error uses
+    |a - n| / max(|a|, |n|, 1e-4).
+    """
+    rng = np.random.default_rng(seed)
+    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    leaves = [Tensor(x, requires_grad=True) for x in inputs]
+    out = fn(*leaves)
+    u = rng.standard_normal(out.shape)
+    out.backward(u)
+
+    def objective() -> float:
+        with no_grad():
+            return float((u * fn(*[Tensor(x) for x in inputs]).data).sum())
+
+    max_err = 0.0
+    n_checked = 0
+    worst = (-1, -1)
+    for i, (x, leaf) in enumerate(zip(inputs, leaves)):
+        flat = x.reshape(-1)
+        coords = np.arange(flat.size)
+        if max_coords is not None and flat.size > max_coords:
+            coords = rng.choice(flat.size, size=max_coords, replace=False)
+        ga = np.zeros(flat.size) if leaf.grad is None else leaf.grad.reshape(-1)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + step
+            plus = objective()
+            flat[c] = orig - step
+            minus = objective()
+            flat[c] = orig
+            numeric = (plus - minus) / (2.0 * step)
+            a = float(ga[c])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
+            n_checked += 1
+            if err > max_err:
+                max_err = err
+                worst = (i, int(c))
+    return GradCheckReport(
+        max_rel_error=max_err,
+        n_coordinates=n_checked,
+        tolerance=tolerance,
+        worst_input=worst[0],
+        worst_coord=worst[1],
+    )

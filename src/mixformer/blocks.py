@@ -44,7 +44,6 @@ from .features import (
     make_tables,
     split_heads,
 )
-from .mathcore import glorot_uniform
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,16 @@ class ParameterStore:
             of_up=d[f"{pre}.of.ffn.up"],
             of_down=d[f"{pre}.of.ffn.down"],
         )
+
+
+def glorot_uniform(
+    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
+) -> np.ndarray:
+    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
+    if fan_in <= 0 or fan_out <= 0:
+        raise ShapeError("fans must be positive")
+    a = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-a, a, size=shape)
 
 
 def init_parameters(schema: FeatureSchema, config: ModelConfig, seed: int) -> ParameterStore:
@@ -698,6 +707,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[ParameterStore, dict[str, np.ndarray] | None, dict]:
+    """Inverse of save_checkpoint; a corrupt or inconsistent file raises DataError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -705,6 +715,22 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict[str, np.ndarray] | 
         raise DataError(f"cannot open checkpoint file: {exc}") from exc
     if blob[:4] != _CK_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
+    try:
+        return _parse_checkpoint(path, blob)
+    except (struct.error, ValueError, KeyError, TypeError, ConfigError, ShapeError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_checkpoint(
+    path: str, blob: bytes
+) -> tuple[ParameterStore, dict[str, np.ndarray] | None, dict]:
+    def read(want: tuple[int, ...], what: str) -> np.ndarray:
+        nonlocal off
+        arr, off = _read_array(blob, off)
+        if arr.shape != want:
+            raise DataError(f"{path}: shape mismatch for {what}")
+        return arr
+
     version, hlen = struct.unpack_from("<II", blob, 4)
     if version != _CK_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
@@ -715,25 +741,16 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict[str, np.ndarray] | 
     if list(store.dense.keys()) != header["dense"] or list(store.tables.keys()) != header["tables"]:
         raise DataError(f"{path}: parameter inventory mismatch")
     off = 12 + hlen
-    for name in header["dense"]:
-        arr, off = _read_array(blob, off)
-        if arr.shape != store.dense[name].data.shape:
-            raise DataError(f"{path}: shape mismatch for {name}")
-        store.dense[name].data = arr
-    for name in header["tables"]:
-        w, off = _read_array(blob, off)
-        acc, off = _read_array(blob, off)
-        tab = store.tables[name]
-        if w.shape != tab.weight.data.shape:
-            raise DataError(f"{path}: shape mismatch for table {name}")
-        tab.weight.data = w
-        tab.adagrad_acc = acc
+    for name, t in store.dense.items():
+        t.data = read(t.shape, name)
+    for name, tab in store.tables.items():
+        tab.weight.data = read(tab.weight.shape, f"table {name}")
+        tab.adagrad_acc = read(tab.weight.shape, f"table {name} accumulator")
     dense_opt = None
     if header["has_opt"]:
-        dense_opt = {}
-        for name in header["dense"]:
-            arr, off = _read_array(blob, off)
-            dense_opt[name] = arr
+        dense_opt = {
+            name: read(t.shape, f"{name} accumulator") for name, t in store.dense.items()
+        }
     if off != len(blob):
         raise DataError(f"{path}: trailing bytes")
     return store, dense_opt, header["extra"]

@@ -135,6 +135,17 @@ def _decoupled(cfg: ModelConfig, schema) -> ModelConfig:
     )
 
 
+def _flag_int(token: str, flag: str, low: int | None = None) -> int:
+    """One integer of a list flag; a bad token, or one below low, is a ConfigError."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ConfigError(f"{flag}: '{token}' is not an integer") from None
+    if low is not None and value < low:
+        raise ConfigError(f"{flag}: {value} is below {low}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # gen
 # ----------------------------------------------------------------------
@@ -236,6 +247,18 @@ def _split_dataset(dataset: Dataset, fraction: float):
     return train, holdout
 
 
+def _drop_rows_after(log_path: Path, global_step: int) -> None:
+    """Drop log rows past global_step, and any row cut short, before a resume appends."""
+    if not log_path.exists():
+        return
+    keep = []
+    for line in log_path.read_text().splitlines(keepends=True):
+        step = line.split(",", 1)[0]
+        if line.endswith("\n") and not (step.isdigit() and int(step) > global_step):
+            keep.append(line)
+    log_path.write_text("".join(keep))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     run = _resolve(
         TrainRun(),
@@ -289,6 +312,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     resolved = asdict(run)
     log_path = out / "train_log.csv"
+    if args.resume:
+        _drop_rows_after(log_path, global_step)
     log_fh = open(log_path, "a" if args.resume else "w")
     if not args.resume:
         log_fh.write("# " + json.dumps(resolved, sort_keys=True) + "\n")
@@ -399,7 +424,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
     if args.axis:
         if args.axis == "sequence":
             points = (
-                [int(p) for p in args.points.split(",")]
+                [_flag_int(p, "--points") for p in args.points.split(",")]
                 if args.points
                 else list(DEFAULT_SEQ_POINTS)
             )
@@ -409,7 +434,8 @@ def cmd_flops(args: argparse.Namespace) -> int:
             points = []
             for tok in args.points.split(","):
                 dim, _, blocks = tok.partition(":")
-                points.append((int(dim), int(blocks) if blocks else cfg.n_blocks))
+                blocks = _flag_int(blocks, "--points") if blocks else cfg.n_blocks
+                points.append((_flag_int(dim, "--points"), blocks))
         rows = scaling_report(
             cfg, schema, args.axis, points, seq_len=run.seq_len,
             n_candidates=run.candidates,
@@ -450,11 +476,10 @@ def cmd_flops(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_rlb(args: argparse.Namespace) -> int:
+    ks = [_flag_int(k, "--candidates-list", low=1) for k in args.candidates_list.split(",")]
     data_dir = Path(args.data)
     schema = read_schema(str(data_dir / "schema.txt"))
     dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
-    if args.preset not in PRESETS:
-        raise ConfigError(f"unknown preset '{args.preset}'")
     cfg = _decoupled(PRESETS[args.preset](), schema)
     store = init_parameters(schema, cfg, args.seed)
     resolved = {
@@ -463,7 +488,6 @@ def cmd_bench_rlb(args: argparse.Namespace) -> int:
         "candidates_list": args.candidates_list,
         "requests": args.requests,
     }
-    ks = [int(k) for k in args.candidates_list.split(",")]
     n_req = min(args.requests, len(dataset.requests))
     requests = dataset.requests[:n_req]
     rng = np.random.default_rng(args.seed)
@@ -519,8 +543,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     train_set, holdout = _split_dataset(dataset, args.holdout_fraction)
     if not holdout:
         raise DataError("ablate needs a holdout; lower --holdout-fraction")
-    if args.preset not in PRESETS:
-        raise ConfigError(f"unknown preset '{args.preset}'")
     cfg = PRESETS[args.preset]()
 
     base = fit(

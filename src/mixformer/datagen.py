@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
@@ -37,6 +38,9 @@ from .features import (
     FeatureField,
     FeatureSchema,
     Request,
+    embed_actions_batch,
+    embed_nonseq_batch,
+    make_tables,
 )
 from .trainer import (
     MetricSummary,
@@ -212,9 +216,9 @@ def _probs(skel: _Skeleton, temperature: float) -> np.ndarray:
     """(n_requests, K, n_tasks) true label probabilities."""
     spec = skel.spec
     signal = (spec.w_inter * skel.dot + spec.w_seq * skel.match) / temperature
-    cols = [1.0 / (1.0 + np.exp(-(signal + spec.bias)))]
+    cols = [expit(signal + spec.bias)]
     if spec.n_tasks == 2:
-        cols.append(1.0 / (1.0 + np.exp(-(-signal + spec.bias_second_task))))
+        cols.append(expit(-signal + spec.bias_second_task))
     return np.stack(cols, axis=-1)
 
 
@@ -335,26 +339,14 @@ def _baseline_logits(
     schema: FeatureSchema,
 ) -> ad.Tensor:
     b, k = batch.n_requests, batch.n_candidates
-    user_parts = [
-        tables[f.name].lookup(batch.user_nonseq[:, j])
-        for j, f in enumerate(schema.user_fields())
-    ]
-    item_parts = [
-        tables[f.name].lookup(batch.candidates[:, :, j])
-        for j, f in enumerate(schema.item_fields())
-    ]
-    if batch.seq_len:
-        act_parts = [
-            tables[f"action:{f.name}"].lookup(batch.actions[:, :, j])
-            for j, f in enumerate(schema.action_fields)
-        ]
-        pooled = ad.mean(ad.concat(act_parts, axis=-1), axis=1)
+    actions = embed_actions_batch(batch, tables, schema)
+    if actions is None:
+        pooled = ad.Tensor(np.zeros((b, 1, schema.action_dim)))
     else:
-        pooled = ad.Tensor(np.zeros((b, schema.action_dim)))
-    user = ad.concat(user_parts + [pooled], axis=-1)
-    width_u = user.shape[-1]
-    user = ad.broadcast_to(user.reshape((b, 1, width_u)), (b, k, width_u))
-    feats = ad.concat([user, ad.concat(item_parts, axis=-1)], axis=-1)
+        pooled = ad.mean(actions, axis=1).reshape((b, 1, schema.action_dim))
+    user = ad.concat([embed_nonseq_batch(batch, tables, schema, item=False), pooled], axis=-1)
+    user = ad.broadcast_to(user, (b, k, user.shape[-1]))
+    feats = ad.concat([user, embed_nonseq_batch(batch, tables, schema, user=False)], axis=-1)
     return ad.add(ad.matmul(feats, ad.swapaxes(linear, -1, -2)), bias)
 
 
@@ -372,8 +364,6 @@ def baseline_score(
     lr_dense 0.01, not the model's default: the model-vs-baseline AUC
     margins of the acceptance criteria were measured against it.
     """
-    from .features import make_tables
-
     schema = train.schema
     n_tasks = train.requests[0].labels.shape[1]
     rng = np.random.default_rng(seed)

@@ -197,27 +197,13 @@ def rlb_savings(
     mode: str = "per-candidate",
 ) -> float:
     """Fraction of serving FLOPs removed by request-level batching."""
-    if n_candidates < 1:
-        raise ConfigError("n_candidates must be >= 1")
-    if not config.decoupling.enabled:
-        raise ConfigError("rlb_savings requires decoupling in the config")
-    per = _per_candidate_components(config, schema, seq_len)
-    k = n_candidates
-    if mode == "per-candidate":
-        base = sum(u + i for u, i in per.values()) * k
-        batched = sum(u + k * i for u, i in per.values())
-    elif mode == "request-shared-sequence":
-        base = batched = 0
-        for name, (u, i) in per.items():
-            if name in SEQ_COMPONENTS:
-                base += u + i
-                batched += u + i
-            else:
-                base += k * (u + i)
-                batched += u + k * i
-    else:
+    if mode not in ("per-candidate", "request-shared-sequence"):
         raise ConfigError(f"unknown savings mode '{mode}'")
-    return 1.0 - batched / base
+    rlb = count_flops(config, schema, seq_len, n_candidates, rlb=True)
+    base = count_flops(config, schema, seq_len, n_candidates).components
+    if mode == "request-shared-sequence":
+        base = {**base, **{name: rlb.components[name] for name in SEQ_COMPONENTS}}
+    return 1.0 - rlb.total / sum(c.total for c in base.values())
 
 
 def scaling_report(

@@ -14,8 +14,8 @@ import numpy as np
 
 import mixformer as mx
 from mixformer import autodiff as ad
+from mixformer.autodiff import grad_check
 from mixformer.cli import main
-from mixformer.mathcore import grad_check, make_differentiable
 from mixformer.trainer import OptimizerConfig, batch_loss, config_diff, run_ablation
 
 from helpers import random_config, traced_forward_flops
@@ -239,8 +239,7 @@ def test_criterion_06_full_model_gradients(tiny_schema):
 
         inputs = [store.dense[n].data.copy() for n in dense_names]
         inputs += [store.tables[n].weight.data.copy() for n in table_names]
-        op = make_differentiable(loss_fn, inputs, name="full-model-loss")
-        report = grad_check(op, inputs, tolerance=1e-4, seed=seed, max_coords=6)
+        report = grad_check(loss_fn, inputs, tolerance=1e-4, seed=seed, max_coords=6)
         worst = max(worst, report.max_rel_error)
         assert report.passed, f"seed {seed}: max rel err {report.max_rel_error:.2e}"
     assert worst < 1e-4

@@ -1,6 +1,8 @@
 """Engine-level checks: every primitive's gradient against central
-differences, broadcasting reductions, graph traversal, and the FLOP
-trace book-keeping the analytic cost model is later validated against."""
+differences, hand-verified values of the fused ops, broadcasting
+reductions, graph traversal, the FLOP trace book-keeping the analytic
+cost model is later validated against, and the grad_check utility itself
+(it must both accept correct gradients and reject wrong ones)."""
 
 import numpy as np
 import pytest
@@ -135,6 +137,35 @@ class TestGradients:
         np.testing.assert_array_equal(table.grad, expected)
 
 
+class TestHandValues:
+    def test_rms_norm_hand_case(self):
+        # [3,4]: root-mean-square is 5/sqrt(2), unit scale
+        out = ad.rms_norm(np.array([3.0, 4.0]), np.ones(2), 0.0).data
+        np.testing.assert_allclose(out, [0.8485281374238570, 1.1313708498984760])
+
+    def test_rms_norm_scale_applies(self):
+        out = ad.rms_norm(np.array([3.0, 4.0]), np.array([2.0, 0.5]), 0.0).data
+        np.testing.assert_allclose(out, [2 * 0.8485281374238570, 0.5 * 1.1313708498984760])
+
+    def test_layer_norm_hand_case(self):
+        # population variance, gain-only
+        out = ad.layer_norm(np.array([2.0, 4.0]), np.ones(2), 0.0).data
+        np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-12)
+
+    def test_swish_hand_case(self):
+        # swish(2) = 2 * sigmoid(2)
+        np.testing.assert_allclose(ad.swish(np.array([2.0])).data, [1.7615941559557646])
+
+    def test_softmax_hand_case(self):
+        np.testing.assert_allclose(
+            ad.softmax(np.array([np.log(2.0), 0.0])).data, [2 / 3, 1 / 3]
+        )
+
+    def test_softmax_shift_invariant_at_extremes(self):
+        out = ad.softmax(np.array([1000.0, 1000.0 + np.log(3.0)])).data
+        np.testing.assert_allclose(out, [0.25, 0.75], rtol=1e-12)
+
+
 class TestGraph:
     def test_diamond_reuse(self):
         # y = x*x + x*x: the shared node's gradient must be summed once per path
@@ -218,3 +249,30 @@ class TestFlopTrace:
                 ad.matmul(a, a)
         assert inner.total == 16
         assert outer.total == 32
+
+
+class TestGradCheck:
+    def test_accepts_correct_gradient(self):
+        rng = np.random.default_rng(1)
+        rep = ad.grad_check(
+            lambda a, b: ad.matmul(ad.swish(a), b),
+            [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
+        )
+        assert rep.passed
+        assert rep.max_rel_error < 1e-5
+
+    def test_rejects_wrong_gradient(self):
+        def square(x):
+            y = ad.mul(x, x)
+            y._vjp = lambda g: (g * x.data, None)  # missing the factor of 2
+            return y
+
+        rep = ad.grad_check(square, [np.array([1.0, 2.0, 3.0])])
+        assert not rep.passed
+
+    def test_max_coords_subsampling(self):
+        rep = ad.grad_check(
+            ad.swish, [np.random.default_rng(0).standard_normal((10, 10))], max_coords=7
+        )
+        assert rep.n_coordinates == 7
+        assert rep.passed

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mixformer as mx
@@ -198,6 +198,17 @@ class TestParameterStore:
         assert mx.init_parameters(tiny_schema, cfg, seed=0).block(0).sa_query is None
 
 
+class TestGlorot:
+    def test_bounds_and_determinism(self):
+        rng = np.random.default_rng(3)
+        w = mx.glorot_uniform(rng, (40, 30), fan_in=30, fan_out=40)
+        limit = np.sqrt(6.0 / 70.0)
+        assert w.shape == (40, 30)
+        assert np.max(np.abs(w)) <= limit
+        w2 = mx.glorot_uniform(np.random.default_rng(3), (40, 30), 30, 40)
+        np.testing.assert_array_equal(w, w2)
+
+
 class TestResidualStructure:
     def test_zeroed_block_is_identity_pre_norm(self, tiny_schema):
         # zero every FFN weight and the mixing-norm gain: each sublayer
@@ -316,10 +327,50 @@ class TestCheckpoint:
         assert opt_back is None
         assert extra == {}
 
-    def test_corrupt_file_rejected(self, tmp_path):
+    @staticmethod
+    def _checkpoint_bytes(tmp_path, schema, config) -> bytes:
+        store = mx.init_parameters(schema, config, seed=4)
+        p = tmp_path / "whole.bin"
+        opt = {name: np.ones(t.shape) for name, t in store.dense.items()}
+        mx.save_checkpoint(str(p), store, dense_opt=opt, extra={"epoch": 1})
+        return p.read_bytes()
+
+    def test_corrupt_file_rejected(self, tmp_path, tiny_schema, tiny_config):
         p = tmp_path / "ck.bin"
         p.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(mx.DataError):
+            mx.load_checkpoint(str(p))
+        blob = bytearray(self._checkpoint_bytes(tmp_path, tiny_schema, tiny_config))
+        blob[20] ^= 0xFF  # inside the JSON header
+        p.write_bytes(bytes(blob))
+        with pytest.raises(mx.DataError, match="ck.bin"):
+            mx.load_checkpoint(str(p))
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_file_is_data_error(self, tmp_path, tiny_schema, tiny_config, data):
+        blob = self._checkpoint_bytes(tmp_path, tiny_schema, tiny_config)
+        p = tmp_path / "cut.bin"
+        p.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="offset")])
+        with pytest.raises(mx.DataError, match="cut.bin"):
+            mx.load_checkpoint(str(p))
+
+    def test_accumulator_shape_mismatch_rejected(self, tmp_path, tiny_schema, tiny_config):
+        store = mx.init_parameters(tiny_schema, tiny_config, seed=4)
+        name = next(iter(store.tables))
+        store.tables[name].adagrad_acc = np.ones(3)
+        p = tmp_path / "ck.bin"
+        mx.save_checkpoint(str(p), store)
+        with pytest.raises(mx.DataError, match="accumulator"):
+            mx.load_checkpoint(str(p))
+        store = mx.init_parameters(tiny_schema, tiny_config, seed=4)
+        opt = {n: np.ones(t.shape) for n, t in store.dense.items()}
+        opt[next(iter(opt))] = np.ones(2)
+        mx.save_checkpoint(str(p), store, dense_opt=opt)
+        with pytest.raises(mx.DataError, match="accumulator"):
             mx.load_checkpoint(str(p))
 
     def test_failed_write_keeps_previous_checkpoint(

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -234,6 +235,18 @@ class TestTrain:
         _, _, extra = mx.load_checkpoint(str(part2 / "checkpoint.bin"))
         assert extra["global_step"] == 6
 
+    def test_resume_drops_rows_past_checkpoint(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(corpus), "--batch-size", "15", "--out", str(out)]
+        assert main([*args, "--max-steps", "2"]) == 0
+        step2 = tmp_path / "step2.bin"
+        shutil.copy(out / "checkpoint.bin", step2)
+        assert main([*args, "--max-steps", "1", "--resume", str(out / "checkpoint.bin")]) == 0
+        # step 3 is thrown away: resume from the step-2 checkpoint again
+        assert main([*args, "--max-steps", "2", "--resume", str(step2)]) == 0
+        _, _, rows = read_log(out / "train_log.csv")
+        assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4"]
+
     def test_default_learning_rate_does_not_diverge(self, tmp_path):
         data = tmp_path / "data"
         assert main([
@@ -288,6 +301,19 @@ class TestTrain:
                 "train", "--data", str(corpus), "--out", out,
                 "--epochs", "8", "--lr-dense", "1e200",
             ]) == 4
+        assert main(["train", "--data", str(corpus), "--out", out, "--max-steps", "1"]) == 0
+        whole = (tmp_path / "r" / "checkpoint.bin").read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(whole[: len(whole) // 2])
+        assert main([
+            "train", "--data", str(corpus), "--out", out, "--resume", str(cut),
+        ]) == 3
+        assert main(["flops", "--axis", "sequence", "--points", "5,x"]) == 2
+        assert main(["flops", "--axis", "dense", "--points", "384:x"]) == 2
+        for ks in ("32,x", "0"):
+            assert main([
+                "bench-rlb", "--data", str(corpus), "--candidates-list", ks,
+            ]) == 2
 
     def test_invalid_preset_message_names_alternative(self, corpus, tmp_path, capsys):
         main([

@@ -1,6 +1,8 @@
-"""Every module-level import in the package modules is used."""
+"""Every module-level import in the package modules is used, and every
+package function the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,24 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {n: line for n, line in _bound_names(tree).items() if n not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_hooks_resolve():
+    tracing = _load_tracing()
+    missing = []
+    for _, mod, attr, _ in tracing.FUNCTIONS:
+        if not callable(getattr(importlib.import_module(f"mixformer.{mod}"), attr, None)):
+            missing.append(f"{mod}.{attr}")
+    for _, mod, cls, meth in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"mixformer.{mod}"), cls, None)
+        if not callable(getattr(owner, meth, None)):
+            missing.append(f"{mod}.{cls}.{meth}")
+    assert not missing, f"perfbench/tracing.py wraps names the package lacks: {missing}"
