@@ -118,9 +118,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, grad=None) -> None:
         """Accumulate gradients of a scalar (or given cotangent) into leaves."""
         if grad is None:

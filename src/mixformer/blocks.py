@@ -137,11 +137,10 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 def config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
-    if "ablations" in d and isinstance(d["ablations"], dict):
-        d["ablations"] = AblationFlags(**d["ablations"])
-    if "decoupling" in d and isinstance(d["decoupling"], dict):
-        d["decoupling"] = DecoupleConfig(**d["decoupling"])
     try:
+        for key, kind in (("ablations", AblationFlags), ("decoupling", DecoupleConfig)):
+            if key in d:
+                d[key] = kind(**d[key])
         return ModelConfig(**d)
     except TypeError as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
@@ -197,12 +196,6 @@ class ParameterStore:
     @property
     def n_dense_params(self) -> int:
         return sum(t.size for t in self.dense.values())
-
-    def zero_grad(self) -> None:
-        for t in self.dense.values():
-            t.grad = None
-        for tab in self.tables.values():
-            tab.weight.grad = None
 
     def _seq_prefix(self, block: int) -> str:
         return "seq_shared" if self.config.ablations.shared_seq_ffn else f"block{block}.seq"

@@ -2,10 +2,11 @@
 
 Subcommands: gen (synthetic corpus), train, flops (cost reports),
 bench-rlb (request-level batching benchmark), ablate (single-switch
-variants).  Every command resolves defaults, then an optional JSON
-config file, then explicit flags, and serializes the resolved
-configuration into its outputs so runs can be reproduced from artifacts
-alone.  Exit codes: 0 ok, 2 configuration, 3 data, 4 numeric.
+variants).  Each subcommand's settings are one dataclass; `main` resolves
+it once from its defaults, then the --config JSON file (gen, train,
+flops), then explicit flags, and every output embeds the resolved
+settings so runs can be reproduced from artifacts alone.  Exit codes:
+0 ok, 2 configuration, 3 data, 4 numeric.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -29,11 +31,10 @@ from .blocks import (
     load_checkpoint,
     save_checkpoint,
 )
-from .datagen import GeneratorSpec, generate, tune_noise_temperature
+from .datagen import GeneratorSpec, generate, split_dataset, tune_noise_temperature
 from .decouple import allocate_heads, build_mask, forward_decoupled, rlb_forward
 from .errors import ConfigError, DataError, NumericError
 from .features import (
-    Dataset,
     read_dataset,
     read_schema,
     write_dataset,
@@ -98,15 +99,30 @@ def _load_json(path: str | None) -> dict:
     return obj
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: float takes ints, X | None takes null."""
+    if get_args(hint):
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _resolve(dc, file_cfg: dict, cli_args: dict):
     """defaults < config file < explicit CLI flags."""
-    known = set(dc.__dataclass_fields__)
-    unknown = set(file_cfg) - known
+    hints = get_type_hints(type(dc))
+    unknown = set(file_cfg) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(
+                f"config key '{key}' must be {dc.__dataclass_fields__[key].type}, "
+                f"not {json.dumps(value)}"
+            )
     merged = asdict(dc)
     merged.update(file_cfg)
-    merged.update({k: v for k, v in cli_args.items() if v is not None and k in known})
+    merged.update({k: v for k, v in cli_args.items() if v is not None and k in hints})
     return type(dc)(**merged)
 
 
@@ -167,20 +183,7 @@ class GenRun:
     oracle_hi: float = 0.86
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    run = _resolve(
-        GenRun(),
-        _load_json(args.config),
-        {
-            "seed": args.seed,
-            "n_users": args.users,
-            "n_items": args.items,
-            "n_requests": args.requests,
-            "candidates_per_request": args.candidates,
-            "seq_len": args.seq_len,
-            "tune_oracle": args.tune_oracle,
-        },
-    )
+def cmd_gen(run: GenRun, args: argparse.Namespace) -> int:
     spec = GeneratorSpec(
         n_users=run.n_users,
         n_items=run.n_items,
@@ -196,16 +199,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     achieved = None
     if run.tune_oracle:
         spec, achieved = tune_noise_temperature(spec, (run.oracle_lo, run.oracle_hi))
+        run = replace(run, noise_temperature=spec.noise_temperature)
     data = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_schema(str(out / "schema.txt"), data.dataset.schema)
     write_dataset(str(out / "dataset.bin"), data.dataset)
     write_oracle(str(out / "oracle.csv"), data.oracle)
-    resolved = asdict(run)
-    resolved["noise_temperature"] = spec.noise_temperature
     record = {
-        "run_config": resolved,
+        "run_config": asdict(run),
         "oracle_auc": achieved if achieved is not None else data.oracle_auc(0),
         "n_impressions": data.dataset.n_impressions,
     }
@@ -238,13 +240,11 @@ class TrainRun:
     lr_dense: float = OptimizerConfig.lr_dense
     lr_sparse: float = OptimizerConfig.lr_sparse
 
-
-def _split_dataset(dataset: Dataset, fraction: float):
-    n = len(dataset.requests)
-    cut = max(1, min(n - 1, int(n * (1.0 - fraction)))) if 0 < fraction < 1 else n
-    train = Dataset(schema=dataset.schema, requests=dataset.requests[:cut])
-    holdout = dataset.requests[cut:] if cut < n else []
-    return train, holdout
+    def __post_init__(self) -> None:
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigError("max_steps must be >= 0")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ConfigError("holdout_fraction must lie in [0, 1); 0 keeps no holdout")
 
 
 def _drop_rows_after(log_path: Path, global_step: int) -> None:
@@ -259,31 +259,16 @@ def _drop_rows_after(log_path: Path, global_step: int) -> None:
     log_path.write_text("".join(keep))
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    run = _resolve(
-        TrainRun(),
-        _load_json(args.config),
-        {
-            "preset": args.preset,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "max_steps": args.max_steps,
-            "holdout_fraction": args.holdout_fraction,
-            "eval_every": args.eval_every,
-            "save_every": args.save_every,
-            "decouple": args.decouple or None,
-            "lr_dense": args.lr_dense,
-            "lr_sparse": args.lr_sparse,
-        },
-    )
+def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     schema = read_schema(str(data_dir / "schema.txt"))
     dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
-    train_set, holdout = _split_dataset(dataset, run.holdout_fraction)
+    train_set, holdout = (
+        split_dataset(dataset, run.holdout_fraction)
+        if run.holdout_fraction
+        else (dataset, [])
+    )
     opt_cfg = OptimizerConfig(lr_dense=run.lr_dense, lr_sparse=run.lr_sparse)
-    if run.max_steps is not None and run.max_steps < 0:
-        raise ConfigError("max_steps must be >= 0")
 
     start = (0, 0)
     global_step = 0
@@ -310,13 +295,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = asdict(run)
     log_path = out / "train_log.csv"
     if args.resume:
         _drop_rows_after(log_path, global_step)
     log_fh = open(log_path, "a" if args.resume else "w")
     if not args.resume:
-        log_fh.write("# " + json.dumps(resolved, sort_keys=True) + "\n")
+        log_fh.write("# " + json.dumps(asdict(run), sort_keys=True) + "\n")
         log_fh.write("step,epoch,loss,holdout_auc0\n")
 
     def save(epoch: int, step: int, global_step: int) -> None:
@@ -351,7 +335,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     summary = evaluate(holdout, store, mask) if holdout else None
     record = {
-        "run_config": resolved,
+        "run_config": asdict(run),
         "model_config": config_to_dict(cfg),
         "steps": done,
         "wall_seconds": time.perf_counter() - t0,
@@ -386,7 +370,7 @@ class FlopsRun:
     action_dim: int = 20
 
 
-def cmd_flops(args: argparse.Namespace) -> int:
+def cmd_flops(run: FlopsRun, args: argparse.Namespace) -> int:
     if args.production:
         savings, report, assumptions = production_savings()
         print("pinned production shape:")
@@ -400,17 +384,6 @@ def cmd_flops(args: argparse.Namespace) -> int:
         print(f"  savings vs unbatched: {savings:.4f}")
         return 0
 
-    run = _resolve(
-        FlopsRun(),
-        _load_json(args.config),
-        {
-            "preset": args.preset,
-            "seq_len": args.seq_len,
-            "candidates": args.candidates,
-            "rlb": args.rlb or None,
-            "decouple": args.decouple or None,
-        },
-    )
     if args.schema:
         schema = read_schema(args.schema)
     else:
@@ -475,22 +448,27 @@ def cmd_flops(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_bench_rlb(args: argparse.Namespace) -> int:
-    ks = [_flag_int(k, "--candidates-list", low=1) for k in args.candidates_list.split(",")]
+@dataclass
+class BenchRlbRun:
+    preset: str = "desk-small"
+    seed: int = 0
+    candidates_list: str = "1,2,4,8,16,32,64,128"
+    requests: int = 20
+
+    def __post_init__(self) -> None:
+        if self.requests < 1:
+            raise ConfigError("requests must be >= 1")
+
+
+def cmd_bench_rlb(run: BenchRlbRun, args: argparse.Namespace) -> int:
+    ks = [_flag_int(k, "--candidates-list", low=1) for k in run.candidates_list.split(",")]
     data_dir = Path(args.data)
     schema = read_schema(str(data_dir / "schema.txt"))
     dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
-    cfg = _decoupled(PRESETS[args.preset](), schema)
-    store = init_parameters(schema, cfg, args.seed)
-    resolved = {
-        "preset": args.preset,
-        "seed": args.seed,
-        "candidates_list": args.candidates_list,
-        "requests": args.requests,
-    }
-    n_req = min(args.requests, len(dataset.requests))
-    requests = dataset.requests[:n_req]
-    rng = np.random.default_rng(args.seed)
+    cfg = _decoupled(PRESETS[run.preset](), schema)
+    store = init_parameters(schema, cfg, run.seed)
+    requests = dataset.requests[: run.requests]
+    rng = np.random.default_rng(run.seed)
     item_vocabs = [f.vocab_size for f in schema.item_fields()]
 
     rows = []
@@ -520,7 +498,7 @@ def cmd_bench_rlb(args: argparse.Namespace) -> int:
         print(f"{k},{t_base:.4f},{t_rlb:.4f},{speedup:.3f},{diff:.3e},{meter:.4f}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("# " + json.dumps(resolved, sort_keys=True) + "\n")
+            fh.write("# " + json.dumps(asdict(run), sort_keys=True) + "\n")
             fh.write("k,wall_percand_s,wall_rlb_s,speedup,max_abs_diff,meter_savings\n")
             for row in rows:
                 fh.write(
@@ -536,39 +514,41 @@ def cmd_bench_rlb(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
+@dataclass
+class AblateRun:
+    preset: str = "desk-small"
+    seed: int = 0
+    epochs: int = 1
+    batch_size: int = 256
+    max_steps: int | None = None
+    holdout_fraction: float = 0.1
+
+
+def cmd_ablate(run: AblateRun, args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     schema = read_schema(str(data_dir / "schema.txt"))
     dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
-    train_set, holdout = _split_dataset(dataset, args.holdout_fraction)
+    train_set, holdout = split_dataset(dataset, run.holdout_fraction)
     if not holdout:
-        raise DataError("ablate needs a holdout; lower --holdout-fraction")
-    cfg = PRESETS[args.preset]()
+        raise DataError("ablate needs a holdout, so a corpus of at least 2 requests")
+    cfg = PRESETS[run.preset]()
 
     base = fit(
-        train_set, cfg, seed=args.seed, epochs=args.epochs,
-        batch_size=args.batch_size, holdout=holdout, max_steps=args.max_steps,
+        train_set, cfg, seed=run.seed, epochs=run.epochs,
+        batch_size=run.batch_size, holdout=holdout, max_steps=run.max_steps,
     )
-    resolved = {
-        "preset": args.preset,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "max_steps": args.max_steps,
-        "holdout_fraction": args.holdout_fraction,
-    }
-    base_flops = count_flops(cfg, schema, schema.max_seq_len).total
+    base_rep = count_flops(cfg, schema, schema.max_seq_len)
     lines = [
-        "# " + json.dumps(resolved, sort_keys=True),
+        "# " + json.dumps(asdict(run), sort_keys=True),
         "name,changed_fields,params,flops,final_loss,auc0,delta_auc0",
-        f"base,0,{count_flops(cfg, schema, schema.max_seq_len).n_params},"
-        f"{base_flops},{base.losses[-1]:.6f},{base.metrics.auc[0]:.6f},0.0",
+        f"base,0,{base_rep.n_params},{base_rep.total},"
+        f"{base.losses[-1]:.6f},{base.metrics.auc[0]:.6f},0.0",
     ]
     print(lines[-1])
     for name in ABLATION_NAMES:
         res = run_ablation(
-            name, cfg, train_set, holdout, base.metrics, seed=args.seed,
-            epochs=args.epochs, batch_size=args.batch_size, max_steps=args.max_steps,
+            name, cfg, train_set, holdout, base.metrics, seed=run.seed,
+            epochs=run.epochs, batch_size=run.batch_size, max_steps=run.max_steps,
         )
         vcfg = apply_ablation(cfg, name)
         rep = count_flops(vcfg, schema, schema.max_seq_len)
@@ -590,6 +570,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Run-setting flags take their field's name as dest and no default:
+    the run dataclass declares each default once, and `main` resolves it."""
     p = argparse.ArgumentParser(
         prog="mixformer",
         description="Unified ranking model: data generation, training, and cost analysis.",
@@ -600,16 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory for the corpus")
     g.add_argument("--config", help="JSON file of generator overrides")
     g.add_argument("--seed", type=int)
-    g.add_argument("--users", type=int)
-    g.add_argument("--items", type=int)
-    g.add_argument("--requests", type=int)
-    g.add_argument("--candidates", type=int)
+    g.add_argument("--users", dest="n_users", type=int)
+    g.add_argument("--items", dest="n_items", type=int)
+    g.add_argument("--requests", dest="n_requests", type=int)
+    g.add_argument("--candidates", dest="candidates_per_request", type=int)
     g.add_argument("--seq-len", dest="seq_len", type=int)
     g.add_argument(
         "--no-tune-oracle", dest="tune_oracle", action="store_false", default=None,
         help="keep the configured noise temperature instead of bisecting",
     )
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, run=GenRun)
 
     t = sub.add_parser("train", help="train on a generated corpus")
     t.add_argument("--data", required=True)
@@ -623,14 +605,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-steps", dest="max_steps", type=int,
         help="optimizer steps in this invocation, not counting steps before --resume",
     )
-    t.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
+    t.add_argument(
+        "--holdout-fraction", dest="holdout_fraction", type=float,
+        help="tail share of requests held out; 0 trains on all of them",
+    )
     t.add_argument("--eval-every", dest="eval_every", type=int)
     t.add_argument("--save-every", dest="save_every", type=int)
     t.add_argument("--resume", help="checkpoint to continue from")
-    t.add_argument("--decouple", action="store_true", default=False)
+    t.add_argument("--decouple", action="store_true", default=None)
     t.add_argument("--lr-dense", dest="lr_dense", type=float)
     t.add_argument("--lr-sparse", dest="lr_sparse", type=float)
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, run=TrainRun)
 
     f = sub.add_parser("flops", help="analytic cost reports")
     f.add_argument("--config", help="JSON file of flops-run overrides")
@@ -638,43 +623,41 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--schema", help="schema.txt to take widths from")
     f.add_argument("--seq-len", dest="seq_len", type=int)
     f.add_argument("--candidates", type=int)
-    f.add_argument("--rlb", action="store_true", default=False)
-    f.add_argument("--decouple", action="store_true", default=False)
+    f.add_argument("--rlb", action="store_true", default=None)
+    f.add_argument("--decouple", action="store_true", default=None)
     f.add_argument("--axis", choices=("dense", "sequence"))
     f.add_argument("--points", help="dense: 'dim:blocks,...'; sequence: 'T,...'")
     f.add_argument("--production", action="store_true", help="pinned production shape")
     f.add_argument("--out", help="write CSV here instead of stdout")
-    f.set_defaults(func=cmd_flops)
+    f.set_defaults(func=cmd_flops, run=FlopsRun)
 
     b = sub.add_parser("bench-rlb", help="compare per-candidate vs batched serving")
     b.add_argument("--data", required=True)
-    b.add_argument("--preset", default="desk-small", choices=sorted(PRESETS))
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument(
-        "--candidates-list", dest="candidates_list", default="1,2,4,8,16,32,64,128"
-    )
-    b.add_argument("--requests", type=int, default=20)
+    b.add_argument("--preset", choices=sorted(PRESETS))
+    b.add_argument("--seed", type=int)
+    b.add_argument("--candidates-list", dest="candidates_list")
+    b.add_argument("--requests", type=int)
     b.add_argument("--out", help="write the CSV here instead of stdout")
-    b.set_defaults(func=cmd_bench_rlb)
+    b.set_defaults(func=cmd_bench_rlb, run=BenchRlbRun)
 
     a = sub.add_parser("ablate", help="train base plus all single-switch variants")
     a.add_argument("--data", required=True)
     a.add_argument("--out", required=True, help="output directory for ablations.csv")
-    a.add_argument("--preset", default="desk-small", choices=sorted(PRESETS))
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--epochs", type=int, default=1)
-    a.add_argument("--batch-size", dest="batch_size", type=int, default=256)
+    a.add_argument("--preset", choices=sorted(PRESETS))
+    a.add_argument("--seed", type=int)
+    a.add_argument("--epochs", type=int)
+    a.add_argument("--batch-size", dest="batch_size", type=int)
     a.add_argument("--max-steps", dest="max_steps", type=int)
-    a.add_argument("--holdout-fraction", dest="holdout_fraction", type=float, default=0.1)
-    a.set_defaults(func=cmd_ablate)
+    a.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
+    a.set_defaults(func=cmd_ablate, run=AblateRun)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = _resolve(args.run(), _load_json(getattr(args, "config", None)), vars(args))
+        return args.func(run, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -386,15 +386,21 @@ def baseline_score(
         return summarize(*predict(holdout, lambda batch: logits(batch).data))
 
 
+def split_dataset(
+    dataset: Dataset, holdout_fraction: float
+) -> tuple[Dataset, list[Request]]:
+    """Deterministic tail split.  From two requests up each side keeps at
+    least one; a one-request corpus keeps it on the train side."""
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ConfigError("holdout_fraction must lie in (0, 1)")
+    n = len(dataset.requests)
+    cut = max(1, min(n - 1, int(n * (1.0 - holdout_fraction))))
+    train = Dataset(schema=dataset.schema, requests=dataset.requests[:cut])
+    return train, dataset.requests[cut:]
+
+
 def split_holdout(
     data: SyntheticData, holdout_fraction: float = 0.1
 ) -> tuple[Dataset, list[Request]]:
-    """Deterministic tail split; requests are i.i.d. by construction."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ConfigError("holdout_fraction must lie in (0, 1)")
-    n = len(data.dataset.requests)
-    cut = max(1, int(n * (1.0 - holdout_fraction)))
-    if cut >= n:
-        cut = n - 1
-    train = Dataset(schema=data.dataset.schema, requests=data.dataset.requests[:cut])
-    return train, data.dataset.requests[cut:]
+    """split_dataset of a generated corpus; its requests are i.i.d. by construction."""
+    return split_dataset(data.dataset, holdout_fraction)

@@ -26,7 +26,7 @@ convention it lands at roughly 35% serving FLOPs saved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .blocks import DecoupleConfig, ModelConfig, init_parameters
@@ -219,36 +219,24 @@ def scaling_report(
     axis="dense": points are (head_dim, n_blocks) pairs, seq_len fixed.
     axis="sequence": points are sequence lengths.
     """
-    from dataclasses import replace
-
-    rows: list[dict] = []
-    if axis == "dense":
-        for head_dim, n_blocks in points:
-            cfg = replace(config, head_dim=head_dim, n_blocks=n_blocks)
-            rep = count_flops(cfg, schema, seq_len, n_candidates)
-            rows.append(
-                {
-                    "head_dim": head_dim,
-                    "n_blocks": n_blocks,
-                    "seq_len": seq_len,
-                    "params": rep.n_params,
-                    "flops": rep.total,
-                }
-            )
-    elif axis == "sequence":
-        for t in points:
-            rep = count_flops(config, schema, int(t), n_candidates)
-            rows.append(
-                {
-                    "head_dim": config.head_dim,
-                    "n_blocks": config.n_blocks,
-                    "seq_len": int(t),
-                    "params": rep.n_params,
-                    "flops": rep.total,
-                }
-            )
-    else:
+    if axis not in ("dense", "sequence"):
         raise ConfigError(f"unknown scaling axis '{axis}'")
+    rows: list[dict] = []
+    for point in points:
+        if axis == "dense":
+            cfg, t = replace(config, head_dim=point[0], n_blocks=point[1]), seq_len
+        else:
+            cfg, t = config, int(point)
+        rep = count_flops(cfg, schema, t, n_candidates)
+        rows.append(
+            {
+                "head_dim": cfg.head_dim,
+                "n_blocks": cfg.n_blocks,
+                "seq_len": t,
+                "params": rep.n_params,
+                "flops": rep.total,
+            }
+        )
     return rows
 
 

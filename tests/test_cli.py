@@ -3,13 +3,22 @@
 import json
 import re
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import mixformer as mx
-from mixformer.cli import GenRun, TrainRun, _resolve, main
+from mixformer.cli import (
+    AblateRun,
+    BenchRlbRun,
+    FlopsRun,
+    GenRun,
+    TrainRun,
+    _resolve,
+    build_parser,
+    main,
+)
 from mixformer.features import read_dataset, read_oracle, read_schema
 from mixformer.trainer import ABLATION_NAMES, auc
 
@@ -39,8 +48,47 @@ def read_log(path):
 
 class TestConfigResolution:
     def test_serialize_parse_identity(self):
-        for dc in (GenRun(), TrainRun(epochs=3, model={"n_heads": 2})):
+        for dc in (
+            GenRun(),
+            TrainRun(epochs=3, model={"n_heads": 2}),
+            FlopsRun(seq_len=8, rlb=True),
+            BenchRlbRun(candidates_list="1,4", requests=3),
+            AblateRun(max_steps=2, holdout_fraction=0.25),
+        ):
             assert _resolve(type(dc)(), asdict(dc), {}) == dc
+
+    @pytest.mark.parametrize("argv, run_type", [
+        (["gen", "--out", "o"], GenRun),
+        (["train", "--data", "d", "--out", "o"], TrainRun),
+        (["flops"], FlopsRun),
+        (["bench-rlb", "--data", "d"], BenchRlbRun),
+        (["ablate", "--data", "d", "--out", "o"], AblateRun),
+    ])
+    def test_run_flags_have_no_parser_default(self, argv, run_type):
+        """Each run default is declared once, in its dataclass."""
+        args = vars(build_parser().parse_args(argv))
+        run_keys = [f.name for f in fields(run_type) if f.name in args]
+        assert run_keys
+        assert {k: args[k] for k in run_keys} == dict.fromkeys(run_keys)
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("train", {"model": {"ablations": {"foo": True}}}),
+        ("flops", {"model": {"ablations": 3}}),
+        ("flops", {"model": 3}),
+        ("train", {"epochs": "two"}),
+        ("flops", {"seq_len": "x"}),
+        ("gen", {"n_users": "x"}),
+    ])
+    def test_bad_config_value_is_config_error(self, command, cfg, corpus, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        paths = {
+            "gen": ["--out", str(tmp_path / "g")],
+            "train": ["--data", str(corpus), "--out", str(tmp_path / "t")],
+            "flops": [],
+        }[command]
+        assert main([command, *paths, "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_flags_beat_file_beats_defaults(self, tmp_path, corpus):
         cfg = tmp_path / "train.json"
@@ -314,6 +362,16 @@ class TestTrain:
             assert main([
                 "bench-rlb", "--data", str(corpus), "--candidates-list", ks,
             ]) == 2
+        for n in ("0", "-1"):
+            assert main(["bench-rlb", "--data", str(corpus), "--requests", n]) == 2
+        for fraction in ("1.5", "-0.5"):
+            assert main([
+                "train", "--data", str(corpus), "--out", out,
+                "--holdout-fraction", fraction,
+            ]) == 2
+        assert main([
+            "ablate", "--data", str(corpus), "--out", out, "--holdout-fraction", "0",
+        ]) == 2
 
     def test_invalid_preset_message_names_alternative(self, corpus, tmp_path, capsys):
         main([

@@ -324,3 +324,9 @@ class TestSplitHoldout:
         train, holdout = split_holdout(data, 0.9)
         assert len(train.requests) >= 1
         assert len(holdout) >= 1
+
+    def test_single_request_stays_on_train_side(self):
+        data = generate(GeneratorSpec(**{**SMALL, "n_requests": 1}))
+        train, holdout = split_holdout(data, 0.5)
+        assert train.requests == data.dataset.requests
+        assert holdout == []
