@@ -21,6 +21,7 @@ from .blocks import (
     ParameterStore,
     batched_forward,
     batched_forward_tensor,
+    build_mask,
     config_from_dict,
     config_to_dict,
     cross_attention,
@@ -52,10 +53,8 @@ from .decouple import (
     LayerUserState,
     SharedUserState,
     allocate_heads,
-    build_mask,
     compute_shared_user_state,
     forward_decoupled,
-    head_mixing_masked,
     rlb_forward,
 )
 from .errors import (

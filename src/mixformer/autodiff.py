@@ -383,16 +383,6 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out, dtype=np.float64), (x,), vjp)
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = expit(x.data)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (x,), vjp)
-
-
 def swish(x) -> Tensor:
     """x * sigmoid(x), the gate activation of the gated FFN."""
     x = as_tensor(x)

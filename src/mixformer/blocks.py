@@ -25,8 +25,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -65,6 +65,22 @@ class DecoupleConfig:
     enabled: bool = False
     n_user_heads: int = 0
     n_item_heads: int = 0
+
+
+def build_mask(n_heads: int, n_user_heads: int, head_dim: int) -> np.ndarray:
+    """(n_heads, head_dim) zero/one mask for the head-mixing output.
+
+    Entry [i, j] is 0 iff row i is a user head and column j falls in an
+    item head's chunk, i.e. j >= n_user_heads * (head_dim / n_heads).
+    """
+    if head_dim % n_heads != 0:
+        raise ShapeError(f"head_dim {head_dim} not divisible by n_heads {n_heads}")
+    if not 0 <= n_user_heads <= n_heads:
+        raise ShapeError("n_user_heads must lie in [0, n_heads]")
+    chunk = head_dim // n_heads
+    mask = np.ones((n_heads, head_dim))
+    mask[:n_user_heads, n_user_heads * chunk :] = 0.0
+    return mask
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,11 @@ class ModelConfig:
                 )
 
     @property
+    def user_heads(self) -> int:
+        """Head rows [0, user_heads) are user rows; 0 when not decoupled."""
+        return self.decoupling.n_user_heads if self.decoupling.enabled else 0
+
+    @property
     def model_width(self) -> int:
         return self.n_heads * self.head_dim
 
@@ -135,15 +156,40 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return asdict(cfg)
 
 
-def config_from_dict(d: dict) -> ModelConfig:
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: float takes ints, X | None takes null."""
+    if get_args(hint):
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _from_dict(kind, d, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, not {json.dumps(d)}")
+    hints = get_type_hints(kind)
     d = dict(d)
+    for key, value in d.items():
+        hint = hints.get(key)
+        if is_dataclass(hint):
+            d[key] = _from_dict(hint, value, f"{where}.{key}")
+        elif hint is not None and not _fits(value, hint):
+            raise ConfigError(
+                f"{where}.{key} must be {kind.__dataclass_fields__[key].type}, "
+                f"not {json.dumps(value)}"
+            )
     try:
-        for key, kind in (("ablations", AblationFlags), ("decoupling", DecoupleConfig)):
-            if key in d:
-                d[key] = kind(**d[key])
-        return ModelConfig(**d)
+        return kind(**d)
     except TypeError as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
+
+
+def config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of config_to_dict.  A value whose JSON type does not fit its
+    field, here or inside ablations and decoupling, is a ConfigError, as is
+    an unknown or missing key."""
+    return _from_dict(ModelConfig, d, "model")
 
 
 @dataclass
@@ -181,8 +227,7 @@ class ParameterStore:
         self.config = config
         self.schema = schema
         self.seed = seed
-        n_user = config.decoupling.n_user_heads if config.decoupling.enabled else 0
-        self.layout: HeadLayout = head_layout(schema, config.n_heads, n_user)
+        self.layout: HeadLayout = head_layout(schema, config.n_heads, config.user_heads)
         self.dense: dict[str, ad.Tensor] = {}
         self.tables: dict[str, EmbeddingTable] = {}
 
@@ -406,14 +451,13 @@ def query_mixer(
 ) -> ad.Tensor:
     """Head mixing then per-head gated FFNs, each with its own residual.
 
-    With rows = (lo, hi), x holds head rows [lo, hi) only and mixing reads
-    rows [0, lo) from mix_prefix (see run_blocks).  record, when given,
-    receives the mixing inputs under "mix_src".
+    mask, when given, multiplies the mixing output of all heads.  With
+    rows = (lo, hi), x holds head rows [lo, hi) only, mixing reads rows
+    [0, lo) from mix_prefix (see run_blocks) and no mask applies.  record,
+    when given, receives the mixing inputs under "mix_src".
     """
     x = ad.as_tensor(x)
     flags = cfg.ablations
-    if mask is not None and rows is not None:
-        mask = mask[rows[0] : rows[1]]
     if not flags.wo_hm:
         if flags.hm_to_sa:
             mix = lambda xn: _single_head_sa(xn, bp, cfg)
@@ -533,9 +577,10 @@ def run_blocks(
     from seq (B, t, model_width) once per request and block and broadcast
     over candidates, which is exact because they never depend on the
     candidate.  Head mixing reads rows [0, lo) from mix_prefix (their
-    mixing inputs, per block) and rows from hi on as zeros, which the
-    decoupling mask removes.  A record list gets one dict per block:
-    mixformer_block's record plus the block output "out".
+    mixing inputs, per block) and rows from hi on as zeros, so the user
+    rows [0, n_user_heads) read no item chunk and need no decoupling mask.
+    A record list gets one dict per block: mixformer_block's record plus
+    the block output "out".
     """
     cfg = store.config
     for l in range(cfg.n_blocks):
@@ -590,8 +635,11 @@ def batched_forward_tensor(
     batch: RequestBatch, store: ParameterStore, mask: np.ndarray | None = None
 ) -> ad.Tensor:
     """(B, K, n_tasks) logits for a stacked batch; differentiable w.r.t.
-    all parameters."""
+    all parameters.  With no mask given, a decoupled config applies its
+    own decoupling mask."""
     cfg, schema = store.config, store.schema
+    if mask is None and cfg.user_heads:
+        mask = build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
     b, k = batch.n_requests, batch.n_candidates
     e = embed_nonseq_batch(batch, store.tables, schema)
     x = split_heads(e, store.dense["split.proj"], store.layout)

@@ -18,13 +18,14 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .blocks import (
     DecoupleConfig,
     ModelConfig,
+    _fits,
     config_from_dict,
     config_to_dict,
     init_parameters,
@@ -32,7 +33,7 @@ from .blocks import (
     save_checkpoint,
 )
 from .datagen import GeneratorSpec, generate, split_dataset, tune_noise_temperature
-from .decouple import allocate_heads, build_mask, forward_decoupled, rlb_forward
+from .decouple import allocate_heads, forward_decoupled, rlb_forward
 from .errors import ConfigError, DataError, NumericError
 from .features import (
     read_dataset,
@@ -97,15 +98,6 @@ def _load_json(path: str | None) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return obj
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field type: float takes ints, X | None takes null."""
-    if get_args(hint):
-        return any(_fits(value, arg) for arg in get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _resolve(dc, file_cfg: dict, cli_args: dict):
@@ -288,11 +280,6 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
         store = init_parameters(schema, cfg, run.seed)
         opt = Optimizer(store.dense, store.tables, opt_cfg)
 
-    mask = (
-        build_mask(cfg.n_heads, cfg.decoupling.n_user_heads, cfg.head_dim)
-        if cfg.decoupling.enabled
-        else None
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.csv"
@@ -312,7 +299,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
         )
 
     steps = train_steps(
-        train_set.requests, opt, lambda batch: batch_loss(batch, store, mask),
+        train_set.requests, opt, lambda batch: batch_loss(batch, store),
         run.batch_size, run.seed, run.epochs, start,
     )
     epoch, step = start
@@ -324,7 +311,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
             global_step += 1
             auc_cell = ""
             if run.eval_every and holdout and global_step % run.eval_every == 0:
-                summary = evaluate(holdout, store, mask)
+                summary = evaluate(holdout, store)
                 auc_cell = f"{summary.auc[0]:.6f}"
             log_fh.write(f"{global_step},{epoch},{value:.9f},{auc_cell}\n")
             if run.save_every and global_step % run.save_every == 0:
@@ -333,7 +320,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
     finally:
         log_fh.close()
 
-    summary = evaluate(holdout, store, mask) if holdout else None
+    summary = evaluate(holdout, store) if holdout else None
     record = {
         "run_config": asdict(run),
         "model_config": config_to_dict(cfg),
@@ -368,6 +355,10 @@ class FlopsRun:
     d_ns_user: int = 80
     d_ns_item: int = 48
     action_dim: int = 20
+
+    def __post_init__(self) -> None:
+        if min(self.d_ns_user, self.d_ns_item, self.action_dim) < 1:
+            raise ConfigError("d_ns_user, d_ns_item and action_dim must be >= 1")
 
 
 def cmd_flops(run: FlopsRun, args: argparse.Namespace) -> int:

@@ -1,13 +1,14 @@
 """User-item decoupled inference.
 
 Heads are partitioned into a user side and an item side.  A binary mask
-on the head-mixing output stops user heads from ever reading item
-chunks, so rows 0..n_user_heads-1 of the state are functions of the
-user and sequence alone.  That makes request-level batching possible:
-compute_shared_user_state runs the block stack on the user rows once
-per request, keeping the sequence keys and values and the user rows'
-mixing inputs; rlb_forward then runs the same stack on the item rows
-for all candidates, reading that cache.
+on the head-mixing output, applied whenever the config decouples, stops
+user heads from ever reading item chunks, so rows 0..n_user_heads-1 of
+the state are functions of the user and sequence alone.  That makes
+request-level batching possible: compute_shared_user_state runs the
+block stack on the user rows once per request (a row range reads no item
+chunk, so needs no mask), keeping the sequence keys and values and the
+user rows' mixing inputs; rlb_forward then runs the same stack on the
+item rows for all candidates, reading that cache.
 
 rlb_forward reproduces forward_decoupled exactly (up to float
 reassociation); it never recomputes anything candidate-independent.
@@ -23,13 +24,13 @@ from . import autodiff as ad
 from .blocks import (
     ModelConfig,
     ParameterStore,
+    build_mask,
     forward,
-    head_mixing,
     run_blocks,
     sequence_embedding,
     task_logits,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .features import Request, embed_nonseq_batch, split_heads
 
 
@@ -49,42 +50,18 @@ def allocate_heads(d_ns_user: int, d_ns_item: int, n_heads: int) -> tuple[int, i
     return n_heads - n_item, n_item
 
 
-def build_mask(n_heads: int, n_user_heads: int, head_dim: int) -> np.ndarray:
-    """(n_heads, head_dim) zero/one mask for the head-mixing output.
-
-    Entry [i, j] is 0 iff row i is a user head and column j falls in an
-    item head's chunk, i.e. j >= n_user_heads * (head_dim / n_heads).
-    """
-    if head_dim % n_heads != 0:
-        raise ShapeError(f"head_dim {head_dim} not divisible by n_heads {n_heads}")
-    if not 0 <= n_user_heads <= n_heads:
-        raise ShapeError("n_user_heads must lie in [0, n_heads]")
-    chunk = head_dim // n_heads
-    mask = np.ones((n_heads, head_dim))
-    mask[:n_user_heads, n_user_heads * chunk :] = 0.0
-    return mask
-
-
-def head_mixing_masked(x, mask: np.ndarray) -> ad.Tensor:
-    """Head mixing followed by the decoupling mask."""
-    x = ad.as_tensor(x)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape[-2:]:
-        raise ShapeError(f"mask {mask.shape} does not match state {x.shape[-2:]}")
-    return ad.mul(head_mixing(x), ad.Tensor(mask))
-
-
-def _decoupling_mask(cfg: ModelConfig, caller: str) -> np.ndarray:
+def _require_decoupling(cfg: ModelConfig, caller: str) -> None:
     if not cfg.decoupling.enabled:
         raise ConfigError(f"{caller} requires decoupling in the config")
-    return build_mask(cfg.n_heads, cfg.decoupling.n_user_heads, cfg.head_dim)
 
 
 def forward_decoupled(
     request: Request, candidate_index: int, store: ParameterStore
 ) -> np.ndarray:
     """Reference decoupled scoring: the full forward pass with the mask."""
-    mask = _decoupling_mask(store.config, "forward_decoupled")
+    cfg = store.config
+    _require_decoupling(cfg, "forward_decoupled")
+    mask = build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
     return forward(request, candidate_index, store, mask=mask)
 
 
@@ -121,9 +98,9 @@ def compute_shared_user_state(request: Request, store: ParameterStore) -> Shared
     stack on the user rows at one candidate, and the sequence keys and
     values of every head."""
     cfg, schema = store.config, store.schema
-    mask = _decoupling_mask(cfg, "shared user state")
+    _require_decoupling(cfg, "shared user state")
     request.validate(schema)
-    n_u = cfg.decoupling.n_user_heads
+    n_u = cfg.user_heads
     batch = request.as_batch()
     with ad.no_grad():
         # user fields feed the user heads, or the item heads when there are none
@@ -131,7 +108,8 @@ def compute_shared_user_state(request: Request, store: ParameterStore) -> Shared
         x0 = split_heads(e_user, store.dense["split.proj"], store.layout, (0, n_u))
         s = sequence_embedding(batch, store)
         rec: list[dict] = []
-        out = run_blocks(x0, store, seq=s, mask=mask, rows=(0, n_u), record=rec)
+        # rows [0, n_u) read item rows as zeros, which decouples them unmasked
+        out = run_blocks(x0, store, seq=s, rows=(0, n_u), record=rec)
     keys = ("mix_src", "keys", "values", "q", "z", "out")  # LayerUserState's field order
     return SharedUserState(
         e_user=e_user.data.reshape(-1),
@@ -150,7 +128,7 @@ def rlb_forward(request: Request, store: ParameterStore) -> np.ndarray:
     """
     cfg, schema = store.config, store.schema
     state = compute_shared_user_state(request, store)
-    n, n_u, k = cfg.n_heads, cfg.decoupling.n_user_heads, request.n_candidates
+    n, n_u, k = cfg.n_heads, cfg.user_heads, request.n_candidates
     with ad.no_grad():
         e_item = embed_nonseq_batch(request.as_batch(), store.tables, schema, user=n_u == 0)
         x = split_heads(e_item, store.dense["split.proj"], store.layout, (n_u, n))

@@ -74,7 +74,7 @@ def _per_candidate_components(
 ) -> dict[str, tuple[int, int]]:
     """(user, item) FLOPs of scoring one candidate, sequence included."""
     n, dim = config.n_heads, config.head_dim
-    n_u = config.decoupling.n_user_heads if config.decoupling.enabled else 0
+    n_u = config.user_heads
     n_g = n - n_u
     layout = head_layout(schema, n, n_u)
     width = layout.slice_width
@@ -121,8 +121,7 @@ def _per_candidate_components(
 def count_params(config: ModelConfig, schema: FeatureSchema) -> int:
     """Dense parameter count; embedding tables are excluded."""
     n, dim = config.n_heads, config.head_dim
-    n_u = config.decoupling.n_user_heads if config.decoupling.enabled else 0
-    layout = head_layout(schema, n, n_u)
+    layout = head_layout(schema, n, config.user_heads)
     nd = config.model_width
     h = config.ffn_hidden
     hs = config.seq_ffn_hidden

@@ -11,7 +11,7 @@ are rectangular, shuffled deterministically per epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -21,6 +21,7 @@ from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .blocks import (
+    AblationFlags,
     ModelConfig,
     ParameterStore,
     batched_forward,
@@ -305,7 +306,6 @@ def fit(
     batch_size: int = 256,
     optimizer_config: OptimizerConfig | None = None,
     holdout: Sequence[Request] | None = None,
-    mask=None,
     max_steps: int | None = None,
 ) -> FitResult:
     """Initialize, train, and optionally evaluate in one call."""
@@ -314,22 +314,15 @@ def fit(
     store = init_parameters(dataset.schema, config, seed)
     opt = Optimizer(store.dense, store.tables, optimizer_config)
     steps = train_steps(
-        dataset.requests, opt, lambda batch: batch_loss(batch, store, mask),
+        dataset.requests, opt, lambda batch: batch_loss(batch, store),
         batch_size, seed, epochs,
     )
     losses = [loss for _, _, loss in islice(steps, max_steps)]
-    metrics = evaluate(holdout, store, mask) if holdout else None
+    metrics = evaluate(holdout, store) if holdout else None
     return FitResult(losses=losses, metrics=metrics, store=store, optimizer=opt)
 
 
-ABLATION_NAMES = (
-    "wo_hm",
-    "hm_to_sa",
-    "wo_qm_ffn",
-    "shared_seq_ffn",
-    "shared_of_ffn",
-    "post_ln",
-)
+ABLATION_NAMES = tuple(f.name for f in fields(AblationFlags))
 
 
 def apply_ablation(config: ModelConfig, name: str) -> ModelConfig:

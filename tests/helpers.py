@@ -43,11 +43,6 @@ def traced_forward_flops(cfg, schema, t, seed=0):
         actions=np.zeros((t, 1), dtype=np.int64),
         candidates=np.zeros((1, 1), dtype=np.int64),
     )
-    mask = (
-        mx.build_mask(cfg.n_heads, cfg.decoupling.n_user_heads, cfg.head_dim)
-        if cfg.decoupling.enabled
-        else None
-    )
     with ad.FlopTrace() as tr:
-        mx.forward(req, 0, store, mask=mask)
+        mx.forward(req, 0, store)
     return tr.total

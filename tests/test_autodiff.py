@@ -99,7 +99,6 @@ class TestGradients:
         check_op(ad.mean, [RNG.standard_normal((2, 3))])
 
     def test_sigmoid_swish(self):
-        check_op(ad.sigmoid, [RNG.standard_normal((3, 4))])
         check_op(ad.swish, [RNG.standard_normal((3, 4)) * 3])
 
     def test_softmax(self):

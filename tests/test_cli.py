@@ -78,6 +78,14 @@ class TestConfigResolution:
         ("train", {"epochs": "two"}),
         ("flops", {"seq_len": "x"}),
         ("gen", {"n_users": "x"}),
+        ("flops", {"model": {"ablations": {"wo_hm": "no"}}}),
+        ("flops", {"model": {"decoupling": {
+            "enabled": "yes", "n_user_heads": 2, "n_item_heads": 2,
+        }}}),
+        ("train", {"model": {"decoupling": {
+            "enabled": True, "n_user_heads": 2.0, "n_item_heads": 2,
+        }}}),
+        ("train", {"model": {"n_blocks": 2.0}}),
     ])
     def test_bad_config_value_is_config_error(self, command, cfg, corpus, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -372,6 +380,10 @@ class TestTrain:
         assert main([
             "ablate", "--data", str(corpus), "--out", out, "--holdout-fraction", "0",
         ]) == 2
+        for width in ({"d_ns_user": -4}, {"d_ns_item": 0}, {"action_dim": 0}):
+            bad = tmp_path / "widths.json"
+            bad.write_text(json.dumps(width))
+            assert main(["flops", "--config", str(bad)]) == 2
 
     def test_invalid_preset_message_names_alternative(self, corpus, tmp_path, capsys):
         main([

@@ -2,12 +2,14 @@
 freedom, and the shared-user-state serving path."""
 
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import mixformer as mx
 from mixformer import autodiff as ad
+from mixformer.autodiff import grad_check
 
 from conftest import random_request
 
@@ -100,15 +102,14 @@ class TestBuildMask:
 class TestMaskedMixing:
     def test_hand_case(self):
         x = np.array([[1.0, 2, 3, 4], [5, 6, 7, 8]])
-        mask = mx.build_mask(2, 1, 4)
-        out = mx.head_mixing_masked(x, mask).data
+        out = mx.head_mixing(x).data * mx.build_mask(2, 1, 4)
         np.testing.assert_array_equal(out, [[1, 2, 0, 0], [3, 4, 7, 8]])
 
     def test_item_rows_keep_user_chunks(self):
         # item heads still read user chunks; only user heads are cut off
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 8))
-        out = mx.head_mixing_masked(x, mx.build_mask(4, 2, 8)).data
+        out = mx.head_mixing(x).data * mx.build_mask(4, 2, 8)
         full = mx.head_mixing(x).data
         np.testing.assert_array_equal(out[2:], full[2:])
         np.testing.assert_array_equal(out[:2, :4], full[:2, :4])
@@ -183,6 +184,71 @@ class TestRlbForward:
         np.testing.assert_allclose(rlb, per, rtol=1e-9)
         meter = mx.count_flops(cfg, schema, seq_len, req.n_candidates, rlb=True)
         assert trace.total == meter.total
+
+
+class TestDecoupledModel:
+    """A decoupled config masks itself: fit, batched_forward and evaluate
+    train and score the model that rlb_forward serves."""
+
+    @staticmethod
+    def _config(schema, n_heads=4, head_dim=8, **kw):
+        n_u, n_g = mx.allocate_heads(schema.d_ns_user, schema.d_ns_item, n_heads)
+        return mx.ModelConfig(
+            n_heads=n_heads, head_dim=head_dim, n_blocks=2, max_seq_len=6,
+            decoupling=mx.DecoupleConfig(True, n_u, n_g), **kw,
+        )
+
+    def test_fit_trains_and_scores_the_served_model(self, tiny_schema):
+        cfg = self._config(tiny_schema)
+        mask = mx.build_mask(cfg.n_heads, cfg.decoupling.n_user_heads, cfg.head_dim)
+        rng = np.random.default_rng(21)
+        train = mx.Dataset(
+            schema=tiny_schema,
+            requests=[random_request(tiny_schema, rng) for _ in range(24)],
+        )
+        holdout = [random_request(tiny_schema, rng, seq_len=t) for t in (0, 2, 6, 6, 6, 6)]
+        res = mx.fit(train, cfg, seed=0, batch_size=6, holdout=holdout, max_steps=3)
+
+        # the same three steps with the mask passed by hand
+        store = mx.init_parameters(tiny_schema, cfg, seed=0)
+        opt = mx.Optimizer(store.dense, store.tables)
+        steps = mx.train_steps(
+            train.requests, opt, lambda batch: mx.batch_loss(batch, store, mask), 6, 0, 1
+        )
+        assert [loss for _, _, loss in islice(steps, 3)] == res.losses
+        assert res.metrics == mx.evaluate(holdout, res.store, mask)
+
+        for req in holdout:
+            batched = mx.batched_forward(mx.stack_requests([req]), res.store)[0]
+            np.testing.assert_allclose(
+                mx.rlb_forward(req, res.store), batched, rtol=1e-9, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("post_ln", [False, True], ids=["pre_norm", "post_ln"])
+    def test_masked_model_gradients(self, tiny_schema, post_ln):
+        cfg = mx.ModelConfig(
+            n_heads=2, head_dim=4, n_blocks=2, max_seq_len=6,
+            ablations=mx.AblationFlags(post_ln=post_ln),
+            decoupling=mx.DecoupleConfig(True, 1, 1),
+        )
+        rng = np.random.default_rng(67)
+        batch = mx.stack_requests([random_request(tiny_schema, rng, seq_len=3, n_candidates=2)])
+        for seed in range(5):
+            store = mx.init_parameters(tiny_schema, cfg, seed=seed)
+            dense_names = sorted(store.dense)
+            table_names = sorted(store.tables)
+
+            def loss_fn(*tensors):
+                for name, tensor in zip(dense_names, tensors):
+                    store.dense[name] = tensor
+                for name, tensor in zip(table_names, tensors[len(dense_names):]):
+                    store.tables[name].weight = tensor
+                return mx.batch_loss(batch, store)
+
+            inputs = [store.dense[n].data.copy() for n in dense_names]
+            inputs += [store.tables[n].weight.data.copy() for n in table_names]
+            report = grad_check(loss_fn, inputs, tolerance=1e-4, seed=seed, max_coords=6)
+            assert report.passed, f"seed {seed}: max rel err {report.max_rel_error:.2e}"
 
 
 class TestDegenerateMask:
