@@ -22,6 +22,7 @@ ndarrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -272,6 +273,35 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def _folded_matmul(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """left @ right summed down to shape, without the broadcast product.
+
+    left is (..., m, c) and right (..., c, k); their leading axes
+    broadcast to lead.  shape is an operand's (..., m, k), and its fold
+    axes are the axes of lead where it is 1 (left-padded) and lead is
+    not.  Those axes join the contraction, fold-major, so one np.matmul
+    returns the reduced gradient.  With no fold axes this is the plain
+    product.
+    """
+    lead = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
+    n = len(lead)
+    padded = (1,) * (n + 2 - len(shape)) + tuple(shape[:-2])
+    fold = [i for i in range(n) if padded[i] == 1 and lead[i] != 1]
+    if not fold:
+        return np.matmul(left, right).reshape(shape)
+    kept = [i for i in range(n) if i not in fold]
+    left = left.reshape((1,) * (n + 2 - left.ndim) + left.shape)
+    right = right.reshape((1,) * (n + 2 - right.ndim) + right.shape)
+    depth = math.prod(lead[i] for i in fold) * left.shape[-1]
+    left = left.transpose(kept + [n] + fold + [n + 1]).reshape(
+        [left.shape[i] for i in kept] + [left.shape[-2], depth]
+    )
+    right = right.transpose(kept + fold + [n, n + 1]).reshape(
+        [right.shape[i] for i in kept] + [depth, right.shape[-1]]
+    )
+    return np.matmul(left, right).reshape(shape)
+
+
 def matmul(a, b) -> Tensor:
     """Broadcasting matrix product; both operands must be at least 2-d."""
     a, b = as_tensor(a), as_tensor(b)
@@ -286,9 +316,10 @@ def matmul(a, b) -> Tensor:
     flops = 2 * out.size * k
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _sum_to_shape(ga, a.data.shape), _sum_to_shape(gb, b.data.shape)
+        return (
+            _folded_matmul(g, np.swapaxes(b.data, -1, -2), a.data.shape),
+            _folded_matmul(np.swapaxes(a.data, -1, -2), g, b.data.shape),
+        )
 
     return _make(out, (a, b), vjp, kind="matmul", flops=flops)
 

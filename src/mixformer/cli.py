@@ -288,7 +288,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
     log_fh = open(log_path, "a" if args.resume else "w")
     if not args.resume:
         log_fh.write("# " + json.dumps(asdict(run), sort_keys=True) + "\n")
-        log_fh.write("step,epoch,loss,holdout_auc0\n")
+        log_fh.write("step,epoch,loss,holdout_auc0,step_s,impr_per_s\n")
 
     def save(epoch: int, step: int, global_step: int) -> None:
         save_checkpoint(
@@ -298,24 +298,36 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
             extra={"epoch": epoch, "step_in_epoch": step, "global_step": global_step},
         )
 
+    impressions = 0
+
+    def loss_fn(batch):
+        nonlocal impressions
+        impressions = batch.n_requests * batch.n_candidates
+        return batch_loss(batch, store)
+
     steps = train_steps(
-        train_set.requests, opt, lambda batch: batch_loss(batch, store),
-        run.batch_size, run.seed, run.epochs, start,
+        train_set.requests, opt, loss_fn, run.batch_size, run.seed, run.epochs, start
     )
     epoch, step = start
     done = 0
-    t0 = time.perf_counter()
+    t0 = tick = time.perf_counter()
     try:
         for epoch, step, value in islice(steps, run.max_steps):
+            # stack, forward, backward and optimizer step; not eval or saves
+            step_s = time.perf_counter() - tick
             done += 1
             global_step += 1
             auc_cell = ""
             if run.eval_every and holdout and global_step % run.eval_every == 0:
                 summary = evaluate(holdout, store)
                 auc_cell = f"{summary.auc[0]:.6f}"
-            log_fh.write(f"{global_step},{epoch},{value:.9f},{auc_cell}\n")
+            log_fh.write(
+                f"{global_step},{epoch},{value:.9f},{auc_cell},"
+                f"{step_s:.6g},{impressions / step_s:.6g}\n"
+            )
             if run.save_every and global_step % run.save_every == 0:
                 save(epoch, step, global_step)
+            tick = time.perf_counter()
         save(epoch, step, global_step)
     finally:
         log_fh.close()

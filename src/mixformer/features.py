@@ -456,24 +456,28 @@ def read_schema(path: str) -> FeatureSchema:
     except OSError as exc:
         raise DataError(f"cannot open schema file: {exc}") from exc
     with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "maxseqlen":
-                    max_seq_len = int(parts[1])
-                elif parts[0] == "nonseq":
-                    nonseq.append(
-                        FeatureField(parts[1], parts[2], int(parts[3]), int(parts[4]))
-                    )
-                elif parts[0] == "action":
-                    actions.append(ActionField(parts[1], int(parts[2]), int(parts[3])))
-                else:
-                    raise DataError(f"{path}:{lineno}: unknown record '{parts[0]}'")
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed schema line") from exc
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: schema file is not UTF-8 text") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "maxseqlen":
+                max_seq_len = int(parts[1])
+            elif parts[0] == "nonseq":
+                nonseq.append(
+                    FeatureField(parts[1], parts[2], int(parts[3]), int(parts[4]))
+                )
+            elif parts[0] == "action":
+                actions.append(ActionField(parts[1], int(parts[2]), int(parts[3])))
+            else:
+                raise DataError(f"{path}:{lineno}: unknown record '{parts[0]}'")
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed schema line") from exc
     if max_seq_len is None:
         raise DataError(f"{path}: missing maxseqlen")
     return FeatureSchema(tuple(nonseq), tuple(actions), max_seq_len)
@@ -589,20 +593,28 @@ def read_oracle(path: str) -> list[np.ndarray]:
     except OSError as exc:
         raise DataError(f"cannot open oracle file: {exc}") from exc
     with fh:
-        header = fh.readline()
-        if not header.startswith("request,candidate"):
-            raise DataError(f"{path}: not an oracle file")
-        for raw in fh:
-            parts = raw.strip().split(",")
-            if len(parts) < 3:
-                raise DataError(f"{path}: malformed oracle row")
+        try:
+            header, *lines = fh.read().splitlines() or [""]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: oracle file is not UTF-8 text") from exc
+    if not header.startswith("request,candidate"):
+        raise DataError(f"{path}: not an oracle file")
+    n_cols = len(header.split(","))
+    for lineno, raw in enumerate(lines, 2):
+        parts = raw.strip().split(",")
+        if len(parts) != n_cols:
+            raise DataError(f"{path}:{lineno}: {len(parts)} columns, header has {n_cols}")
+        try:
             i, k = int(parts[0]), int(parts[1])
             rows.setdefault(i, {})[k] = [float(v) for v in parts[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed oracle row") from exc
     out: list[np.ndarray] = []
     for i in range(len(rows)):
         if i not in rows:
             raise DataError(f"{path}: missing request {i}")
         ks = rows[i]
-        mat = np.array([ks[k] for k in range(len(ks))], dtype=np.float64)
-        out.append(mat)
+        if any(k not in ks for k in range(len(ks))):
+            raise DataError(f"{path}: request {i} has a gap in its candidate indices")
+        out.append(np.array([ks[k] for k in range(len(ks))], dtype=np.float64))
     return out

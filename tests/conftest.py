@@ -3,10 +3,9 @@ criterion so a full run ends with a visible PASS/FAIL scoreboard."""
 
 import re
 
+import mixformer as mx  # first: it applies MIXFORMER_NUM_THREADS before NumPy loads
 import numpy as np
 import pytest
-
-import mixformer as mx
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

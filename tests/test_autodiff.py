@@ -4,6 +4,8 @@ reductions, graph traversal, the FLOP trace book-keeping the analytic
 cost model is later validated against, and the grad_check utility itself
 (it must both accept correct gradients and reject wrong ones)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,60 @@ class TestGradients:
         expected[1] = 2.0
         expected[4] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
+
+
+# (a, b) shapes of the broadcast patterns the model multiplies
+FOLD_PATTERNS = {
+    "head_stack": ((4, 5, 3), (2, 3, 4, 3, 1)),  # (n, h, d) @ (B, K, n, d, 1)
+    "shared_stack": ((1, 5, 3), (2, 3, 4, 3, 1)),  # one (h, d) for every head
+    "flat_weight": ((2, 6, 5), (5, 4)),  # (B, t, w) @ (w, h)
+    "keys": ((2, 1, 4, 6, 3), (2, 3, 4, 3, 1)),  # keys shared over K
+    "ragged_lead": ((5, 3, 4), (2, 1, 4, 2)),  # both operands broadcast
+}
+
+
+class TestFoldedMatmulBackward:
+    """matmul's backward folds broadcast axes into one GEMM per operand."""
+
+    @pytest.mark.parametrize("pattern", sorted(FOLD_PATTERNS))
+    def test_matches_materialized_reference(self, pattern, monkeypatch):
+        a_shape, b_shape = FOLD_PATTERNS[pattern]
+        rng = np.random.default_rng(7)
+        a = ad.Tensor(rng.standard_normal(a_shape), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(b_shape), requires_grad=True)
+        out = ad.matmul(a, b)
+        g = rng.standard_normal(out.shape)
+        ga = ad._sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a_shape)
+        gb = ad._sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b_shape)
+
+        def forbidden(*args):
+            raise AssertionError("matmul's backward reduced a broadcast product")
+
+        monkeypatch.setattr(ad, "_sum_to_shape", forbidden)
+        out.backward(g)
+        np.testing.assert_allclose(a.grad, ga, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, gb, rtol=1e-12)
+
+    @pytest.mark.parametrize("pattern", sorted(FOLD_PATTERNS))
+    def test_grad_check(self, pattern):
+        rng = np.random.default_rng(8)
+        arrays = [rng.standard_normal(s) for s in FOLD_PATTERNS[pattern]]
+        assert ad.grad_check(ad.matmul, arrays).passed
+
+    def test_no_broadcast_product_allocated(self):
+        rng = np.random.default_rng(9)
+        w = ad.Tensor(rng.standard_normal((4, 64, 32)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((16, 64, 4, 32, 1)), requires_grad=True)
+        out = ad.matmul(w, x)
+        g = rng.standard_normal(out.shape)
+        product_bytes = 16 * 64 * 4 * 64 * 32 * 8  # w's broadcast gradient, 67 MB
+        tracemalloc.start()
+        try:
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < product_bytes / 8
 
 
 class TestHandValues:

@@ -7,6 +7,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixformer as mx
 from mixformer.cli import (
@@ -200,7 +202,7 @@ class TestTrain:
         assert rc == 0
         embedded, header, rows = read_log(out / "train_log.csv")
         assert embedded["max_steps"] == 3
-        assert header == "step,epoch,loss,holdout_auc0"
+        assert header == "step,epoch,loss,holdout_auc0,step_s,impr_per_s"
         assert len(rows) == 3
         cells = [r.split(",") for r in rows]
         assert [c[0] for c in cells] == ["1", "2", "3"]
@@ -290,6 +292,20 @@ class TestTrain:
         assert [r.split(",")[0] for r in rows] == ["4", "5", "6"]
         _, _, extra = mx.load_checkpoint(str(part2 / "checkpoint.bin"))
         assert extra["global_step"] == 6
+
+    def test_step_time_and_throughput_logged(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(corpus), "--out", str(out), "--batch-size", "15"]
+        assert main([*args, "--max-steps", "2", "--eval-every", "1"]) == 0
+        assert main([*args, "--max-steps", "2", "--resume", str(out / "checkpoint.bin")]) == 0
+        _, header, rows = read_log(out / "train_log.csv")
+        assert header.split(",")[-2:] == ["step_s", "impr_per_s"]
+        assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4"]
+        for row in rows:
+            step_s, impr_per_s = (float(c) for c in row.split(",")[-2:])
+            assert step_s > 0 and impr_per_s > 0
+            # a batch holds 1 to 5 requests of 3 candidates each
+            assert round(impr_per_s * step_s) in (3, 6, 9, 12, 15)
 
     def test_resume_drops_rows_past_checkpoint(self, corpus, tmp_path):
         out = tmp_path / "run"
@@ -502,3 +518,66 @@ class TestAblate:
         for c in cells[1:]:
             assert c[1] == "1"  # exactly one config switch
             assert np.isfinite(float(c[4])) and np.isfinite(float(c[5]))
+
+
+# -------------------------------------------------------- corrupt input
+
+
+GEN_FILES = ("schema.txt", "dataset.bin", "oracle.csv")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+def read_back(corpus, name, path):
+    """Read one corrupted gen output the way the CLI would."""
+    if name == "schema.txt":
+        read_schema(str(path))
+    elif name == "dataset.bin":
+        read_dataset(str(path), read_schema(str(corpus / "schema.txt")))
+    else:
+        read_oracle(str(path))
+
+
+class TestCorruptInputs:
+    """A truncated or bit-flipped gen output reads back whole or raises a
+    typed error; never a raw UnicodeDecodeError, ValueError or KeyError."""
+
+    @pytest.mark.parametrize("name", GEN_FILES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, corpus, scratch, name, data):
+        blob = (corpus / name).read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path = scratch / name
+        path.write_bytes(blob[:cut])
+        try:
+            read_back(corpus, name, path)
+        except (mx.DataError, mx.ConfigError):
+            pass
+
+    @pytest.mark.parametrize("name", GEN_FILES)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_flipped(self, corpus, scratch, name, data):
+        blob = bytearray((corpus / name).read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+        path = scratch / name
+        path.write_bytes(bytes(blob))
+        try:
+            read_back(corpus, name, path)
+        except (mx.DataError, mx.ConfigError):
+            pass
+
+    def test_non_utf8_schema_exits_3(self, corpus, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        blob = bytearray((data / "schema.txt").read_bytes())
+        blob[0] ^= 0x80
+        (data / "schema.txt").write_bytes(bytes(blob))
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", str(data), "--out", out, "--max-steps", "1"]) == 3
+        assert main(["flops", "--schema", str(data / "schema.txt")]) == 3

@@ -292,6 +292,26 @@ class TestFileFormats:
         for a, b in zip(probs, back):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("body", [
+        b"x,0,0.5\n",  # request index not an integer
+        b"0,0,high\n",  # probability not a number
+        b"0,0,0.5\xff\n",  # not UTF-8
+        b"0,0,0.5\n0,2,0.5\n",  # candidate 1 missing
+        b"0,0,0.5\n0,1,0.5,0.5\n",  # task counts differ
+    ])
+    def test_corrupt_oracle_rows_raise_data_error(self, tmp_path, body):
+        p = tmp_path / "oracle.csv"
+        p.write_bytes(b"request,candidate,p0\n" + body)
+        with pytest.raises(mx.DataError, match="oracle.csv"):
+            mx.read_oracle(str(p))
+
+    def test_non_utf8_schema_raises_data_error(self, tmp_path, tiny_schema):
+        p = tmp_path / "schema.txt"
+        mx.write_schema(str(p), tiny_schema)
+        p.write_bytes(p.read_bytes().replace(b"uid", b"u\xe9d"))
+        with pytest.raises(mx.DataError, match="schema.txt"):
+            mx.read_schema(str(p))
+
     def test_missing_files_raise_data_error(self, tmp_path, tiny_schema):
         with pytest.raises(mx.DataError):
             mx.read_schema(str(tmp_path / "nope.txt"))
