@@ -457,7 +457,7 @@ def read_schema(path: str) -> FeatureSchema:
         raise DataError(f"cannot open schema file: {exc}") from exc
     with fh:
         try:
-            lines = fh.read().splitlines()
+            lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: schema file is not UTF-8 text") from exc
     for lineno, raw in enumerate(lines, 1):
@@ -594,7 +594,7 @@ def read_oracle(path: str) -> list[np.ndarray]:
         raise DataError(f"cannot open oracle file: {exc}") from exc
     with fh:
         try:
-            header, *lines = fh.read().splitlines() or [""]
+            header, *lines = fh.readlines() or [""]
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: oracle file is not UTF-8 text") from exc
     if not header.startswith("request,candidate"):
@@ -606,9 +606,12 @@ def read_oracle(path: str) -> list[np.ndarray]:
             raise DataError(f"{path}:{lineno}: {len(parts)} columns, header has {n_cols}")
         try:
             i, k = int(parts[0]), int(parts[1])
-            rows.setdefault(i, {})[k] = [float(v) for v in parts[2:]]
+            probs = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed oracle row") from exc
+        if not all(0.0 <= p <= 1.0 for p in probs):
+            raise DataError(f"{path}:{lineno}: probability outside [0, 1]")
+        rows.setdefault(i, {})[k] = probs
     out: list[np.ndarray] = []
     for i in range(len(rows)):
         if i not in rows:

@@ -527,7 +527,7 @@ GEN_FILES = ("schema.txt", "dataset.bin", "oracle.csv")
 
 
 @pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
+def corrupt_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("corrupt")
 
 
@@ -548,10 +548,10 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("name", GEN_FILES)
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_truncated(self, corpus, scratch, name, data):
+    def test_truncated(self, corpus, corrupt_dir, name, data):
         blob = (corpus / name).read_bytes()
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
-        path = scratch / name
+        path = corrupt_dir / name
         path.write_bytes(blob[:cut])
         try:
             read_back(corpus, name, path)
@@ -561,11 +561,11 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("name", GEN_FILES)
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_bit_flipped(self, corpus, scratch, name, data):
+    def test_bit_flipped(self, corpus, corrupt_dir, name, data):
         blob = bytearray((corpus / name).read_bytes())
         bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
         blob[bit // 8] ^= 1 << (bit % 8)
-        path = scratch / name
+        path = corrupt_dir / name
         path.write_bytes(bytes(blob))
         try:
             read_back(corpus, name, path)

@@ -295,6 +295,8 @@ class TestFileFormats:
     @pytest.mark.parametrize("body", [
         b"x,0,0.5\n",  # request index not an integer
         b"0,0,high\n",  # probability not a number
+        b"0,0,8.5\n",  # probability out of range
+        b"0,0,nan\n",
         b"0,0,0.5\xff\n",  # not UTF-8
         b"0,0,0.5\n0,2,0.5\n",  # candidate 1 missing
         b"0,0,0.5\n0,1,0.5,0.5\n",  # task counts differ
