@@ -32,6 +32,7 @@ from .blocks import (
     load_checkpoint,
     mixformer_block,
     output_fusion,
+    parameter_shapes,
     project_actions,
     query_mixer,
     save_checkpoint,
@@ -85,6 +86,7 @@ from .features import (
     read_schema,
     split_heads,
     stack_requests,
+    table_shapes,
     write_dataset,
     write_oracle,
     write_schema,
@@ -99,7 +101,6 @@ from .flopsmeter import (
     rlb_savings,
     scaling_report,
     schema_from_widths,
-    verify_params,
 )
 from .trainer import (
     ABLATION_NAMES,

@@ -20,13 +20,11 @@ serving (user rows once per request, item rows per candidate).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Sequence, get_args, get_type_hints
+from typing import BinaryIO, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -42,7 +40,10 @@ from .features import (
     embed_nonseq_batch,
     head_layout,
     make_tables,
+    read_file,
     split_heads,
+    table_shapes,
+    write_atomic,
 )
 
 
@@ -219,24 +220,25 @@ class BlockParams:
 class ParameterStore:
     """All trainable state plus the config and schema it was built for.
 
-    Dense tensors live in an insertion-ordered dict; that order is the
-    canonical serialization order for checkpoints and optimizer state.
+    Dense tensors live in an insertion-ordered dict in parameter_shapes
+    order; that order is the canonical serialization order for
+    checkpoints and optimizer state.
     """
 
-    def __init__(self, config: ModelConfig, schema: FeatureSchema, seed: int):
+    def __init__(
+        self,
+        config: ModelConfig,
+        schema: FeatureSchema,
+        seed: int,
+        dense: dict[str, np.ndarray],
+        tables: dict[str, EmbeddingTable],
+    ):
         self.config = config
         self.schema = schema
         self.seed = seed
         self.layout: HeadLayout = head_layout(schema, config.n_heads, config.user_heads)
-        self.dense: dict[str, ad.Tensor] = {}
-        self.tables: dict[str, EmbeddingTable] = {}
-
-    def add(self, name: str, array: np.ndarray) -> ad.Tensor:
-        if name in self.dense:
-            raise ConfigError(f"duplicate parameter name {name}")
-        t = ad.Tensor(array, requires_grad=True)
-        self.dense[name] = t
-        return t
+        self.dense = {name: ad.Tensor(a, requires_grad=True) for name, a in dense.items()}
+        self.tables = tables
 
     @property
     def n_dense_params(self) -> int:
@@ -246,15 +248,10 @@ class ParameterStore:
         return "seq_shared" if self.config.ablations.shared_seq_ffn else f"block{block}.seq"
 
     def block(self, index: int) -> BlockParams:
-        cfg = self.config
-        flags = cfg.ablations
         d = self.dense
+        get = d.get
         pre = f"block{index}"
         sp = self._seq_prefix(index)
-
-        def get(name: str) -> ad.Tensor | None:
-            return d.get(name)
-
         return BlockParams(
             qm_norm=get(f"{pre}.qm.norm"),
             qm_gate=get(f"{pre}.qm.ffn.gate"),
@@ -286,63 +283,72 @@ def glorot_uniform(
     return rng.uniform(-a, a, size=shape)
 
 
-def init_parameters(schema: FeatureSchema, config: ModelConfig, seed: int) -> ParameterStore:
-    """Build all tables and dense weights with seeded Glorot-uniform init.
+def parameter_shapes(
+    schema: FeatureSchema, config: ModelConfig
+) -> dict[str, tuple[tuple[int, ...], int, int]]:
+    """Every dense parameter the config owns, in creation order: name ->
+    (shape, fan_in, fan_out).  Fans of 0 mark a norm gain, which starts at 1.
 
-    Creation order is fixed: embedding tables, head projections, the
-    sequence input projection, then per-block parameters, then task
-    heads.  Norm gains start at 1.
+    The order is fixed: head projections, the sequence input projection,
+    then per-block parameters, then task heads.  init_parameters draws in
+    this order, count_params sums it and load_checkpoint checks against it.
     """
-    store = ParameterStore(config, schema, seed)
-    rng = np.random.default_rng(seed)
-    store.tables = make_tables(schema, rng)
-
     n, dim = config.n_heads, config.head_dim
-    width = store.layout.slice_width
+    width = head_layout(schema, n, config.user_heads).slice_width
     nd = config.model_width
     h = config.ffn_hidden
     hs = config.seq_ffn_hidden
     a = schema.action_dim
+    th = config.task_hidden_dim
     flags = config.ablations
+    shapes: dict[str, tuple[tuple[int, ...], int, int]] = {
+        "split.proj": ((n, dim, width), width, dim),
+        "seq.input_proj": ((nd, a), a, nd),
+    }
 
-    store.add("split.proj", glorot_uniform(rng, (n, dim, width), width, dim))
-    store.add("seq.input_proj", glorot_uniform(rng, (nd, a), a, nd))
+    def gated_ffn(prefix: str, lead: tuple[int, ...], w: int, hidden: int) -> None:
+        shapes[f"{prefix}.gate"] = (lead + (hidden, w), w, hidden)
+        shapes[f"{prefix}.up"] = (lead + (hidden, w), w, hidden)
+        shapes[f"{prefix}.down"] = (lead + (w, hidden), hidden, w)
 
-    def add_headwise_ffn(prefix: str, n_stacks: int) -> None:
-        store.add(f"{prefix}.gate", glorot_uniform(rng, (n_stacks, h, dim), dim, h))
-        store.add(f"{prefix}.up", glorot_uniform(rng, (n_stacks, h, dim), dim, h))
-        store.add(f"{prefix}.down", glorot_uniform(rng, (n_stacks, dim, h), h, dim))
+    def seq_ffn(prefix: str) -> None:
+        shapes[f"{prefix}.norm"] = ((nd,), 0, 0)
+        gated_ffn(f"{prefix}.ffn", (), nd, hs)
 
     if flags.shared_seq_ffn:
-        store.add("seq_shared.norm", np.ones(nd))
-        store.add("seq_shared.ffn.gate", glorot_uniform(rng, (hs, nd), nd, hs))
-        store.add("seq_shared.ffn.up", glorot_uniform(rng, (hs, nd), nd, hs))
-        store.add("seq_shared.ffn.down", glorot_uniform(rng, (nd, hs), hs, nd))
-
+        seq_ffn("seq_shared")
     for l in range(config.n_blocks):
         pre = f"block{l}"
         if not (flags.wo_hm and flags.wo_qm_ffn):
-            store.add(f"{pre}.qm.norm", np.ones(dim))
+            shapes[f"{pre}.qm.norm"] = ((dim,), 0, 0)
         if flags.hm_to_sa:
-            store.add(f"{pre}.qm.sa.query", glorot_uniform(rng, (dim, dim), dim, dim))
-            store.add(f"{pre}.qm.sa.key", glorot_uniform(rng, (dim, dim), dim, dim))
-            store.add(f"{pre}.qm.sa.value", glorot_uniform(rng, (dim, dim), dim, dim))
+            for part in ("query", "key", "value"):
+                shapes[f"{pre}.qm.sa.{part}"] = ((dim, dim), dim, dim)
         if not flags.wo_qm_ffn:
-            add_headwise_ffn(f"{pre}.qm.ffn", n)
+            gated_ffn(f"{pre}.qm.ffn", (n,), dim, h)
         if not flags.shared_seq_ffn:
-            store.add(f"{pre}.seq.norm", np.ones(nd))
-            store.add(f"{pre}.seq.ffn.gate", glorot_uniform(rng, (hs, nd), nd, hs))
-            store.add(f"{pre}.seq.ffn.up", glorot_uniform(rng, (hs, nd), nd, hs))
-            store.add(f"{pre}.seq.ffn.down", glorot_uniform(rng, (nd, hs), hs, nd))
-        store.add(f"{pre}.kv.key", glorot_uniform(rng, (n, dim, dim), dim, dim))
-        store.add(f"{pre}.kv.value", glorot_uniform(rng, (n, dim, dim), dim, dim))
-        store.add(f"{pre}.of.norm", np.ones(dim))
-        add_headwise_ffn(f"{pre}.of.ffn", 1 if flags.shared_of_ffn else n)
+            seq_ffn(f"{pre}.seq")
+        shapes[f"{pre}.kv.key"] = ((n, dim, dim), dim, dim)
+        shapes[f"{pre}.kv.value"] = ((n, dim, dim), dim, dim)
+        shapes[f"{pre}.of.norm"] = ((dim,), 0, 0)
+        gated_ffn(f"{pre}.of.ffn", (1 if flags.shared_of_ffn else n,), dim, h)
 
-    th = config.task_hidden_dim
-    store.add("task.hidden", glorot_uniform(rng, (config.n_tasks, th, nd), nd, th))
-    store.add("task.out", glorot_uniform(rng, (config.n_tasks, 1, th), th, 1))
-    return store
+    shapes["task.hidden"] = ((config.n_tasks, th, nd), nd, th)
+    shapes["task.out"] = ((config.n_tasks, 1, th), th, 1)
+    return shapes
+
+
+def init_parameters(schema: FeatureSchema, config: ModelConfig, seed: int) -> ParameterStore:
+    """Build all tables, then all dense weights, with one seeded generator:
+    tables in table_shapes order, dense weights Glorot-uniform in
+    parameter_shapes order, norm gains at 1."""
+    rng = np.random.default_rng(seed)
+    tables = make_tables(schema, rng)
+    dense = {
+        name: glorot_uniform(rng, shape, fan_in, fan_out) if fan_in else np.ones(shape)
+        for name, (shape, fan_in, fan_out) in parameter_shapes(schema, config).items()
+    }
+    return ParameterStore(config, schema, seed, dense, tables)
 
 
 # ----------------------------------------------------------------------
@@ -711,7 +717,7 @@ def save_checkpoint(
     dense_opt maps dense parameter names to their RMSProp accumulators;
     the Adagrad accumulators travel with their tables.  extra must be
     JSON-serializable (step counters and the like).  The file is written
-    beside path and renamed over it, so a failed write leaves the previous
+    through features.write_atomic, so a failed write leaves the previous
     checkpoint whole.
     """
     header = {
@@ -724,36 +730,26 @@ def save_checkpoint(
         "extra": extra or {},
     }
     hb = json.dumps(header, sort_keys=True).encode()
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CK_MAGIC)
-            fh.write(struct.pack("<II", _CK_VERSION, len(hb)))
-            fh.write(hb)
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(_CK_MAGIC)
+        fh.write(struct.pack("<II", _CK_VERSION, len(hb)))
+        fh.write(hb)
+        for name in header["dense"]:
+            _write_array(fh, store.dense[name].data)
+        for name in header["tables"]:
+            _write_array(fh, store.tables[name].weight.data)
+            _write_array(fh, store.tables[name].adagrad_acc)
+        if dense_opt is not None:
             for name in header["dense"]:
-                _write_array(fh, store.dense[name].data)
-            for name in header["tables"]:
-                _write_array(fh, store.tables[name].weight.data)
-                _write_array(fh, store.tables[name].adagrad_acc)
-            if dense_opt is not None:
-                for name in header["dense"]:
-                    _write_array(fh, dense_opt[name])
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+                _write_array(fh, dense_opt[name])
+
+    write_atomic(path, write)
 
 
 def load_checkpoint(path: str) -> tuple[ParameterStore, dict[str, np.ndarray] | None, dict]:
     """Inverse of save_checkpoint; a corrupt or inconsistent file raises DataError."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot open checkpoint file: {exc}") from exc
+    blob = read_file(path, "checkpoint")
     if blob[:4] != _CK_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     try:
@@ -765,6 +761,9 @@ def load_checkpoint(path: str) -> tuple[ParameterStore, dict[str, np.ndarray] | 
 def _parse_checkpoint(
     path: str, blob: bytes
 ) -> tuple[ParameterStore, dict[str, np.ndarray] | None, dict]:
+    """The store is built from the file's arrays, checked against the
+    config's inventory; no parameter is drawn."""
+
     def read(want: tuple[int, ...], what: str) -> np.ndarray:
         nonlocal off
         arr, off = _read_array(blob, off)
@@ -778,20 +777,22 @@ def _parse_checkpoint(
     header = json.loads(blob[12 : 12 + hlen].decode())
     cfg = config_from_dict(header["config"])
     schema = _schema_from_dict(header["schema"])
-    store = init_parameters(schema, cfg, header["seed"])
-    if list(store.dense.keys()) != header["dense"] or list(store.tables.keys()) != header["tables"]:
+    seed = header["seed"]
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: seed must be a non-negative integer, not {json.dumps(seed)}")
+    shapes = {name: shape for name, (shape, _, _) in parameter_shapes(schema, cfg).items()}
+    table_sizes = table_shapes(schema)
+    if list(shapes) != header["dense"] or list(table_sizes) != header["tables"]:
         raise DataError(f"{path}: parameter inventory mismatch")
     off = 12 + hlen
-    for name, t in store.dense.items():
-        t.data = read(t.shape, name)
-    for name, tab in store.tables.items():
-        tab.weight.data = read(tab.weight.shape, f"table {name}")
-        tab.adagrad_acc = read(tab.weight.shape, f"table {name} accumulator")
+    dense = {name: read(shape, name) for name, shape in shapes.items()}
+    tables = {}
+    for name, shape in table_sizes.items():
+        tables[name] = EmbeddingTable(name, read(shape, f"table {name}"))
+        tables[name].adagrad_acc = read(shape, f"table {name} accumulator")
     dense_opt = None
     if header["has_opt"]:
-        dense_opt = {
-            name: read(t.shape, f"{name} accumulator") for name, t in store.dense.items()
-        }
+        dense_opt = {name: read(shape, f"{name} accumulator") for name, shape in shapes.items()}
     if off != len(blob):
         raise DataError(f"{path}: trailing bytes")
-    return store, dense_opt, header["extra"]
+    return ParameterStore(cfg, schema, seed, dense, tables), dense_opt, header["extra"]

@@ -36,8 +36,12 @@ from .datagen import GeneratorSpec, generate, split_dataset, tune_noise_temperat
 from .decouple import allocate_heads, forward_decoupled, rlb_forward
 from .errors import ConfigError, DataError, NumericError
 from .features import (
+    Dataset,
+    FeatureSchema,
     read_dataset,
+    read_file,
     read_schema,
+    write_atomic,
     write_dataset,
     write_oracle,
     write_schema,
@@ -89,10 +93,7 @@ def _load_json(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        obj = json.loads(read_file(path, "config", text=True, error=ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -141,6 +142,17 @@ def _decoupled(cfg: ModelConfig, schema) -> ModelConfig:
         cfg,
         decoupling=DecoupleConfig(enabled=True, n_user_heads=n_u, n_item_heads=n_g),
     )
+
+
+def _run_header(run) -> str:
+    """The `# {json}` first line of every output file: the resolved settings."""
+    return "# " + json.dumps(asdict(run), sort_keys=True)
+
+
+def _read_corpus(data: str) -> tuple[FeatureSchema, Dataset]:
+    """The schema and dataset that `gen` wrote to the directory data."""
+    schema = read_schema(str(Path(data) / "schema.txt"))
+    return schema, read_dataset(str(Path(data) / "dataset.bin"), schema)
 
 
 def _flag_int(token: str, flag: str, low: int | None = None) -> int:
@@ -203,7 +215,7 @@ def cmd_gen(run: GenRun, args: argparse.Namespace) -> int:
         "oracle_auc": achieved if achieved is not None else data.oracle_auc(0),
         "n_impressions": data.dataset.n_impressions,
     }
-    (out / "gen_config.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    write_atomic(out / "gen_config.json", json.dumps(record, indent=2, sort_keys=True).encode())
     print(
         f"wrote {len(data.dataset.requests)} requests "
         f"({data.dataset.n_impressions} impressions) to {out}; "
@@ -244,17 +256,15 @@ def _drop_rows_after(log_path: Path, global_step: int) -> None:
     if not log_path.exists():
         return
     keep = []
-    for line in log_path.read_text().splitlines(keepends=True):
+    for line in read_file(log_path, "training log", text=True).splitlines(keepends=True):
         step = line.split(",", 1)[0]
         if line.endswith("\n") and not (step.isdigit() and int(step) > global_step):
             keep.append(line)
-    log_path.write_text("".join(keep))
+    write_atomic(log_path, "".join(keep).encode())
 
 
 def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
-    data_dir = Path(args.data)
-    schema = read_schema(str(data_dir / "schema.txt"))
-    dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
+    schema, dataset = _read_corpus(args.data)
     train_set, holdout = (
         split_dataset(dataset, run.holdout_fraction)
         if run.holdout_fraction
@@ -287,7 +297,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
         _drop_rows_after(log_path, global_step)
     log_fh = open(log_path, "a" if args.resume else "w")
     if not args.resume:
-        log_fh.write("# " + json.dumps(asdict(run), sort_keys=True) + "\n")
+        log_fh.write(_run_header(run) + "\n")
         log_fh.write("step,epoch,loss,holdout_auc0,step_s,impr_per_s\n")
 
     def save(epoch: int, step: int, global_step: int) -> None:
@@ -340,7 +350,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
         "wall_seconds": time.perf_counter() - t0,
         "metrics": asdict(summary) if summary else None,
     }
-    (out / "metrics.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    write_atomic(out / "metrics.json", json.dumps(record, indent=2, sort_keys=True).encode())
     if summary:
         print(
             f"trained {done} steps; holdout AUC "
@@ -367,10 +377,14 @@ class FlopsRun:
     d_ns_user: int = 80
     d_ns_item: int = 48
     action_dim: int = 20
+    axis: str | None = None
+    points: str | None = None
 
     def __post_init__(self) -> None:
         if min(self.d_ns_user, self.d_ns_item, self.action_dim) < 1:
             raise ConfigError("d_ns_user, d_ns_item and action_dim must be >= 1")
+        if self.axis not in (None, "dense", "sequence"):
+            raise ConfigError(f"axis must be 'dense' or 'sequence', not {json.dumps(self.axis)}")
 
 
 def cmd_flops(run: FlopsRun, args: argparse.Namespace) -> int:
@@ -397,23 +411,23 @@ def cmd_flops(run: FlopsRun, args: argparse.Namespace) -> int:
     if run.decouple or run.rlb:
         cfg = _decoupled(cfg, schema)
 
-    if args.axis:
-        if args.axis == "sequence":
+    if run.axis:
+        if run.axis == "sequence":
             points = (
-                [_flag_int(p, "--points") for p in args.points.split(",")]
-                if args.points
+                [_flag_int(p, "--points") for p in run.points.split(",")]
+                if run.points
                 else list(DEFAULT_SEQ_POINTS)
             )
         else:
-            if not args.points:
+            if not run.points:
                 raise ConfigError("dense axis needs --points like 384:4,768:4")
             points = []
-            for tok in args.points.split(","):
+            for tok in run.points.split(","):
                 dim, _, blocks = tok.partition(":")
                 blocks = _flag_int(blocks, "--points") if blocks else cfg.n_blocks
                 points.append((_flag_int(dim, "--points"), blocks))
         rows = scaling_report(
-            cfg, schema, args.axis, points, seq_len=run.seq_len,
+            cfg, schema, run.axis, points, seq_len=run.seq_len,
             n_candidates=run.candidates,
         )
         lines = ["head_dim,n_blocks,seq_len,params,flops"]
@@ -423,7 +437,7 @@ def cmd_flops(run: FlopsRun, args: argparse.Namespace) -> int:
         ]
         text = "\n".join(lines) + "\n"
         if args.out:
-            Path(args.out).write_text("# " + json.dumps(asdict(run), sort_keys=True) + "\n" + text)
+            write_atomic(args.out, (_run_header(run) + "\n" + text).encode())
             print(f"wrote {len(rows)} rows to {args.out}")
         else:
             print(text, end="")
@@ -465,17 +479,15 @@ class BenchRlbRun:
 
 def cmd_bench_rlb(run: BenchRlbRun, args: argparse.Namespace) -> int:
     ks = [_flag_int(k, "--candidates-list", low=1) for k in run.candidates_list.split(",")]
-    data_dir = Path(args.data)
-    schema = read_schema(str(data_dir / "schema.txt"))
-    dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
+    schema, dataset = _read_corpus(args.data)
     cfg = _decoupled(PRESETS[run.preset](), schema)
     store = init_parameters(schema, cfg, run.seed)
     requests = dataset.requests[: run.requests]
     rng = np.random.default_rng(run.seed)
     item_vocabs = [f.vocab_size for f in schema.item_fields()]
 
-    rows = []
-    print("k,wall_percand_s,wall_rlb_s,speedup,max_abs_diff,meter_savings")
+    lines = ["k,wall_percand_s,wall_rlb_s,speedup,max_abs_diff,meter_savings"]
+    print(lines[0])
     for k in ks:
         reqs_k = []
         for r in requests:
@@ -497,17 +509,12 @@ def cmd_bench_rlb(run: BenchRlbRun, args: argparse.Namespace) -> int:
         )
         meter = rlb_savings(cfg, schema, requests[0].seq_len, k)
         speedup = t_base / t_rlb if t_rlb > 0 else float("inf")
-        rows.append((k, t_base, t_rlb, speedup, diff, meter))
-        print(f"{k},{t_base:.4f},{t_rlb:.4f},{speedup:.3f},{diff:.3e},{meter:.4f}")
+        lines.append(
+            f"{k},{t_base:.6f},{t_rlb:.6f},{speedup:.4f},{diff:.6e},{meter:.6f}"
+        )
+        print(lines[-1])
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("# " + json.dumps(asdict(run), sort_keys=True) + "\n")
-            fh.write("k,wall_percand_s,wall_rlb_s,speedup,max_abs_diff,meter_savings\n")
-            for row in rows:
-                fh.write(
-                    f"{row[0]},{row[1]:.6f},{row[2]:.6f},{row[3]:.4f},"
-                    f"{row[4]:.6e},{row[5]:.6f}\n"
-                )
+        write_atomic(args.out, "\n".join([_run_header(run), *lines, ""]).encode())
         print(f"wrote {args.out}")
     return 0
 
@@ -528,9 +535,7 @@ class AblateRun:
 
 
 def cmd_ablate(run: AblateRun, args: argparse.Namespace) -> int:
-    data_dir = Path(args.data)
-    schema = read_schema(str(data_dir / "schema.txt"))
-    dataset = read_dataset(str(data_dir / "dataset.bin"), schema)
+    schema, dataset = _read_corpus(args.data)
     train_set, holdout = split_dataset(dataset, run.holdout_fraction)
     if not holdout:
         raise DataError("ablate needs a holdout, so a corpus of at least 2 requests")
@@ -542,7 +547,7 @@ def cmd_ablate(run: AblateRun, args: argparse.Namespace) -> int:
     )
     base_rep = count_flops(cfg, schema, schema.max_seq_len)
     lines = [
-        "# " + json.dumps(asdict(run), sort_keys=True),
+        _run_header(run),
         "name,changed_fields,params,flops,final_loss,auc0,delta_auc0",
         f"base,0,{base_rep.n_params},{base_rep.total},"
         f"{base.losses[-1]:.6f},{base.metrics.auc[0]:.6f},0.0",
@@ -564,7 +569,7 @@ def cmd_ablate(run: AblateRun, args: argparse.Namespace) -> int:
         print(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablations.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "ablations.csv", ("\n".join(lines) + "\n").encode())
     print(f"wrote {out / 'ablations.csv'}")
     return 0
 

@@ -283,15 +283,16 @@ def _realize(skel: _Skeleton, temperature: float) -> SyntheticData:
     )
 
 
+_TEMPERATURE_BRACKET = (0.05, 100.0)
+_TEMPERATURE_STEPS = 60
+
+
 def tune_noise_temperature(
-    spec: GeneratorSpec,
-    target: tuple[float, float] = (0.84, 0.86),
-    lo: float = 0.05,
-    hi: float = 100.0,
-    max_iter: int = 60,
+    spec: GeneratorSpec, target: tuple[float, float] = (0.84, 0.86)
 ) -> tuple[GeneratorSpec, float]:
-    """Bisect the temperature until the oracle AUC of task 0 lands in
-    target.  Returns the adjusted spec and the achieved oracle AUC."""
+    """Bisect the temperature, in log space over [0.05, 100] for at most
+    60 steps, until the oracle AUC of task 0 lands in target.  Returns the
+    adjusted spec and the achieved oracle AUC."""
     if not 0.5 < target[0] < target[1] < 1.0:
         raise ConfigError("target band must satisfy 0.5 < lo < hi < 1.0")
     skel = _build_skeleton(spec)
@@ -302,6 +303,7 @@ def tune_noise_temperature(
         labels = skel.label_u01[..., 0] < probs[..., 0]
         return auc(probs[..., 0].ravel(), labels.ravel().astype(np.float64))
 
+    lo, hi = _TEMPERATURE_BRACKET
     a_lo, a_hi = oracle_auc(lo), oracle_auc(hi)
     if not (a_hi <= mid <= a_lo):
         raise DataError(
@@ -310,7 +312,7 @@ def tune_noise_temperature(
         )
     t_lo, t_hi = lo, hi
     best_t, best_a = lo, a_lo
-    for _ in range(max_iter):
+    for _ in range(_TEMPERATURE_STEPS):
         t = math.sqrt(t_lo * t_hi)  # bisect in log space
         a = oracle_auc(t)
         if abs(a - mid) < abs(best_a - mid):

@@ -11,10 +11,12 @@ user/item boundary.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -125,21 +127,23 @@ class EmbeddingTable:
         return ad.embedding(self.weight, ids)
 
 
-def make_tables(
-    schema: FeatureSchema, rng: np.random.Generator, init_scale: float = 0.1
-) -> dict[str, EmbeddingTable]:
-    """One table per field; action tables are keyed 'action:<name>'."""
-    tables: dict[str, EmbeddingTable] = {}
-    for f in schema.nonseq_fields:
-        tables[f.name] = EmbeddingTable(
-            f.name, rng.normal(0.0, init_scale, size=(f.vocab_size, f.dim))
-        )
-    for f in schema.action_fields:
-        key = f"action:{f.name}"
-        tables[key] = EmbeddingTable(
-            key, rng.normal(0.0, init_scale, size=(f.vocab_size, f.dim))
-        )
-    return tables
+_TABLE_INIT_STD = 0.1
+
+
+def table_shapes(schema: FeatureSchema) -> dict[str, tuple[int, int]]:
+    """(vocab, dim) of every embedding table, in creation order: one per
+    field, with action tables keyed 'action:<name>'."""
+    shapes = {f.name: (f.vocab_size, f.dim) for f in schema.nonseq_fields}
+    shapes.update({f"action:{f.name}": (f.vocab_size, f.dim) for f in schema.action_fields})
+    return shapes
+
+
+def make_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, EmbeddingTable]:
+    """The tables of table_shapes, drawn in order from N(0, 0.1^2)."""
+    return {
+        name: EmbeddingTable(name, rng.normal(0.0, _TABLE_INIT_STD, size=shape))
+        for name, shape in table_shapes(schema).items()
+    }
 
 
 @dataclass
@@ -435,6 +439,47 @@ def embed_actions_batch(
 
 _MAGIC = b"MXDS"
 _VERSION = 1
+# version, requests, then user, action, item and task columns, has labels
+_HEADER = struct.Struct("<IIHHHHB")
+# user id, candidates, sequence length
+_RECORD = struct.Struct("<IHH")
+
+
+def read_file(
+    path: str | os.PathLike, what: str, text: bool = False, error: type = DataError
+) -> bytes | str:
+    """The whole of an input file, as UTF-8 text when text is set.  A file
+    that cannot be read, or text that is not UTF-8, raises error (DataError
+    for data files, ConfigError for settings)."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return blob.decode() if text else blob
+    except OSError as exc:
+        raise error(f"cannot open {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {what} file is not UTF-8 text") from exc
+
+
+def write_atomic(path: str | os.PathLike, content: bytes | Callable[[BinaryIO], None]) -> None:
+    """Write a whole file: content is its bytes or a function that writes
+    them to a binary handle.  The file is written and synced beside path,
+    then renamed over it, so a write that fails midway leaves the previous
+    file whole and no temporary file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_schema(path: str, schema: FeatureSchema) -> None:
@@ -443,24 +488,14 @@ def write_schema(path: str, schema: FeatureSchema) -> None:
         lines.append(f"nonseq {f.name} {f.side} {f.vocab_size} {f.dim}")
     for f in schema.action_fields:
         lines.append(f"action {f.name} {f.vocab_size} {f.dim}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_schema(path: str) -> FeatureSchema:
     nonseq: list[FeatureField] = []
     actions: list[ActionField] = []
     max_seq_len = None
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot open schema file: {exc}") from exc
-    with fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: schema file is not UTF-8 text") from exc
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_file(path, "schema", text=True).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -490,42 +525,31 @@ def write_dataset(path: str, dataset: Dataset) -> None:
     n_act = len(schema.action_fields)
     has_labels = all(r.labels is not None for r in dataset.requests)
     n_tasks = dataset.requests[0].labels.shape[1] if has_labels and dataset.requests else 0
-    with open(path, "wb") as fh:
+
+    def write(fh: BinaryIO) -> None:
         fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIHHHHB",
-                _VERSION,
-                len(dataset.requests),
-                n_user,
-                n_act,
-                n_item,
-                n_tasks,
-                1 if has_labels else 0,
-            )
-        )
+        fh.write(_HEADER.pack(
+            _VERSION, len(dataset.requests), n_user, n_act, n_item, n_tasks, has_labels
+        ))
         for r in dataset.requests:
-            fh.write(struct.pack("<IHH", r.user_id, r.n_candidates, r.seq_len))
+            fh.write(_RECORD.pack(r.user_id, r.n_candidates, r.seq_len))
             fh.write(r.user_nonseq.astype("<u4").tobytes())
             fh.write(r.actions.astype("<u4").tobytes())
             fh.write(r.candidates.astype("<u4").tobytes())
             if has_labels:
                 fh.write(r.labels.astype("<u1").tobytes())
 
+    write_atomic(path, write)
+
 
 def read_dataset(path: str, schema: FeatureSchema) -> Dataset:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot open dataset file: {exc}") from exc
+    blob = read_file(path, "dataset")
     if blob[:4] != _MAGIC:
         raise DataError(f"{path}: not a dataset file")
-    header_fmt = "<IIHHHHB"
-    header_end = 4 + struct.calcsize(header_fmt)
+    header_end = 4 + _HEADER.size
     try:
-        version, n_requests, n_user, n_act, n_item, n_tasks, has_labels = struct.unpack(
-            header_fmt, blob[4:header_end]
+        version, n_requests, n_user, n_act, n_item, n_tasks, has_labels = _HEADER.unpack(
+            blob[4:header_end]
         )
     except struct.error as exc:
         raise DataError(f"{path}: truncated header") from exc
@@ -541,10 +565,10 @@ def read_dataset(path: str, schema: FeatureSchema) -> Dataset:
     requests: list[Request] = []
     for _ in range(n_requests):
         try:
-            user_id, k, t = struct.unpack_from("<IHH", blob, off)
+            user_id, k, t = _RECORD.unpack_from(blob, off)
         except struct.error as exc:
             raise DataError(f"{path}: truncated record") from exc
-        off += 8
+        off += _RECORD.size
         need = 4 * (n_user + t * n_act + k * n_item) + (k * n_tasks if has_labels else 0)
         if off + need > len(blob):
             raise DataError(f"{path}: truncated record body")
@@ -576,27 +600,17 @@ def read_dataset(path: str, schema: FeatureSchema) -> Dataset:
 def write_oracle(path: str, probs: Sequence[np.ndarray]) -> None:
     """CSV of true click probabilities: request, candidate, then one
     column per task, printed at full precision."""
-    with open(path, "w") as fh:
-        n_tasks = probs[0].shape[1] if len(probs) else 0
-        header = "request,candidate," + ",".join(f"p{t}" for t in range(n_tasks))
-        fh.write(header + "\n")
-        for i, mat in enumerate(probs):
-            for k in range(mat.shape[0]):
-                vals = ",".join("%.17g" % v for v in mat[k])
-                fh.write(f"{i},{k},{vals}\n")
+    n_tasks = probs[0].shape[1] if len(probs) else 0
+    lines = ["request,candidate," + ",".join(f"p{t}" for t in range(n_tasks))]
+    for i, mat in enumerate(probs):
+        for k in range(mat.shape[0]):
+            lines.append(f"{i},{k}," + ",".join("%.17g" % v for v in mat[k]))
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_oracle(path: str) -> list[np.ndarray]:
     rows: dict[int, dict[int, list[float]]] = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot open oracle file: {exc}") from exc
-    with fh:
-        try:
-            header, *lines = fh.readlines() or [""]
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: oracle file is not UTF-8 text") from exc
+    header, *lines = read_file(path, "oracle", text=True).splitlines() or [""]
     if not header.startswith("request,candidate"):
         raise DataError(f"{path}: not an oracle file")
     n_cols = len(header.split(","))

@@ -26,10 +26,11 @@ convention it lands at roughly 35% serving FLOPs saved.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .blocks import DecoupleConfig, ModelConfig, init_parameters
+from .blocks import DecoupleConfig, ModelConfig, parameter_shapes
 from .errors import ConfigError
 from .features import ActionField, FeatureField, FeatureSchema, head_layout
 
@@ -119,34 +120,9 @@ def _per_candidate_components(
 
 
 def count_params(config: ModelConfig, schema: FeatureSchema) -> int:
-    """Dense parameter count; embedding tables are excluded."""
-    n, dim = config.n_heads, config.head_dim
-    layout = head_layout(schema, n, config.user_heads)
-    nd = config.model_width
-    h = config.ffn_hidden
-    hs = config.seq_ffn_hidden
-    flags = config.ablations
-
-    total = n * dim * layout.slice_width  # head projections
-    total += nd * schema.action_dim  # sequence input projection
-    seq_block = nd + 3 * hs * nd
-    if flags.shared_seq_ffn:
-        total += seq_block
-    per_block = 0
-    if not (flags.wo_hm and flags.wo_qm_ffn):
-        per_block += dim  # query-mixer norm gain
-    if flags.hm_to_sa:
-        per_block += 3 * dim * dim
-    if not flags.wo_qm_ffn:
-        per_block += 3 * n * h * dim
-    if not flags.shared_seq_ffn:
-        per_block += seq_block
-    per_block += 2 * n * dim * dim  # key/value projections
-    per_block += dim  # fusion norm gain
-    per_block += 3 * h * dim * (1 if flags.shared_of_ffn else n)
-    total += config.n_blocks * per_block
-    total += config.n_tasks * (config.task_hidden_dim * nd + config.task_hidden_dim)
-    return total
+    """Dense parameter count, summed over the model's parameter inventory
+    without allocating it; embedding tables are excluded."""
+    return sum(math.prod(shape) for shape, _, _ in parameter_shapes(schema, config).values())
 
 
 def count_flops(
@@ -167,20 +143,13 @@ def count_flops(
         raise ConfigError("seq_len >= 0, n_candidates >= 1, n_requests >= 1 required")
     if rlb and not config.decoupling.enabled:
         raise ConfigError("request-level batching requires decoupling in the config")
+    user_scale = n_requests * (1 if rlb else n_candidates)
     per = _per_candidate_components(config, schema, seq_len)
-    comps: dict[str, ComponentCount] = {}
-    for name, (user, item) in per.items():
-        if rlb:
-            comps[name] = ComponentCount(
-                user=n_requests * user, item=n_requests * n_candidates * item
-            )
-        else:
-            comps[name] = ComponentCount(
-                user=n_requests * n_candidates * user,
-                item=n_requests * n_candidates * item,
-            )
     return FlopsReport(
-        components=comps,
+        components={
+            name: ComponentCount(user_scale * user, n_requests * n_candidates * item)
+            for name, (user, item) in per.items()
+        },
         n_params=count_params(config, schema),
         n_requests=n_requests,
         n_candidates=n_candidates,
@@ -237,12 +206,6 @@ def scaling_report(
             }
         )
     return rows
-
-
-def verify_params(config: ModelConfig, schema: FeatureSchema, seed: int = 0) -> bool:
-    """Check the closed-form parameter count against a real store."""
-    store = init_parameters(schema, config, seed)
-    return store.n_dense_params == count_params(config, schema)
 
 
 def schema_from_widths(

@@ -243,23 +243,24 @@ def summarize(probs: np.ndarray, labels: np.ndarray, users: np.ndarray) -> Metri
     )
 
 
+_PREDICT_IMPRESSIONS = 4096
+
+
 def predict(
     requests: Sequence[Request],
     logits_fn: Callable[[RequestBatch], np.ndarray],
-    batch_size: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scores for every impression: (probs, labels, user_ids), each with
     impressions flattened in request order.
 
     Requests are scored in stacks of one (seq_len, K) shape and about
-    batch_size impressions; logits_fn maps a stack to (B, K, n_tasks)
-    logits.
+    4096 impressions; logits_fn maps a stack to (B, K, n_tasks) logits.
     """
     groups = _shape_groups(requests)
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for key in sorted(groups):
         idx = groups[key]
-        per = max(1, batch_size // key[1])
+        per = max(1, _PREDICT_IMPRESSIONS // key[1])
         for lo in range(0, len(idx), per):
             sel = idx[lo : lo + per]
             batch = stack_requests([requests[i] for i in sel])

@@ -2,6 +2,8 @@
 model configuration, forward shapes, and checkpointing."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -397,6 +399,33 @@ class TestCheckpoint:
         for name in old.dense:
             np.testing.assert_array_equal(back.dense[name].data, old.dense[name].data)
         assert [f.name for f in tmp_path.iterdir()] == ["ck.bin"]
+
+    def test_load_draws_no_random_numbers(
+        self, tmp_path, tiny_schema, tiny_config, monkeypatch
+    ):
+        store = mx.init_parameters(tiny_schema, tiny_config, seed=4)
+        p = tmp_path / "ck.bin"
+        mx.save_checkpoint(str(p), store)
+
+        def no_rng(*_):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back, _, _ = mx.load_checkpoint(str(p))
+        assert list(back.dense) == list(store.dense)
+        assert list(back.tables) == list(store.tables)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "4", None, True, [4]])
+    def test_bad_header_seed_is_data_error(self, tmp_path, tiny_schema, tiny_config, seed):
+        blob = self._checkpoint_bytes(tmp_path, tiny_schema, tiny_config)
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        header["seed"] = seed
+        hb = json.dumps(header, sort_keys=True).encode()
+        p = tmp_path / "seed.bin"
+        p.write_bytes(blob[:8] + struct.pack("<I", len(hb)) + hb + blob[12 + hlen :])
+        with pytest.raises(mx.DataError, match="seed.bin"):
+            mx.load_checkpoint(str(p))
 
     def test_loaded_model_scores_identically(self, tmp_path, tiny_schema, tiny_config):
         rng = np.random.default_rng(9)

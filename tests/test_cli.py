@@ -307,6 +307,44 @@ class TestTrain:
             # a batch holds 1 to 5 requests of 3 candidates each
             assert round(impr_per_s * step_s) in (3, 6, 9, 12, 15)
 
+    def test_failed_write_keeps_log_and_checkpoint(self, corpus, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(corpus), "--batch-size", "15", "--out", str(out)]
+        assert main([*args, "--max-steps", "2"]) == 0
+        files = lambda: {p.name: p.read_bytes() for p in out.iterdir()}
+        before = files()
+        resume = [*args, "--max-steps", "1", "--save-every", "1",
+                  "--resume", str(out / "checkpoint.bin")]
+
+        def disk_full(*_):
+            raise OSError("disk full")
+
+        # the log rewrite before a resume fails between write and rename
+        with monkeypatch.context() as m:
+            m.setattr(mx.features.os, "fsync", disk_full)
+            with pytest.raises(OSError, match="disk full"):
+                main(resume)
+        assert files() == before
+
+        # the step-3 checkpoint fails midway through its arrays
+        calls = []
+        real_write = mx.blocks._write_array
+
+        def failing_write(fh, arr):
+            calls.append(1)
+            if len(calls) == 3:
+                disk_full()
+            real_write(fh, arr)
+
+        monkeypatch.setattr(mx.blocks, "_write_array", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            main(resume)
+        after = files()
+        assert sorted(after) == sorted(before)
+        assert after["checkpoint.bin"] == before["checkpoint.bin"]
+        log = after["train_log.csv"]
+        assert log.startswith(before["train_log.csv"]) and log.endswith(b"\n")
+
     def test_resume_drops_rows_past_checkpoint(self, corpus, tmp_path):
         out = tmp_path / "run"
         args = ["train", "--data", str(corpus), "--batch-size", "15", "--out", str(out)]
@@ -400,6 +438,17 @@ class TestTrain:
             bad = tmp_path / "widths.json"
             bad.write_text(json.dumps(width))
             assert main(["flops", "--config", str(bad)]) == 2
+        bad.write_bytes(b'{"seq_len": 8\xff}')  # not UTF-8
+        assert main(["flops", "--config", str(bad)]) == 2
+        assert main(["flops", "--config", str(tmp_path)]) == 2  # a directory
+        bad.write_text(json.dumps({"axis": "width"}))
+        assert main(["flops", "--config", str(bad)]) == 2
+        log = tmp_path / "r" / "train_log.csv"
+        log.write_bytes(log.read_bytes() + b"9\xff\n")
+        assert main([
+            "train", "--data", str(corpus), "--out", out,
+            "--resume", str(tmp_path / "r" / "checkpoint.bin"),
+        ]) == 3
 
     def test_invalid_preset_message_names_alternative(self, corpus, tmp_path, capsys):
         main([
@@ -453,6 +502,18 @@ class TestFlops:
         medium = [int(x) for x in rows[-1].split(",")]
         assert medium[0] == 2 * small[0]
         assert medium[3] > small[3] and medium[4] > small[4]
+
+    def test_axis_report_reruns_from_its_header(self, tmp_path):
+        a, b, cfg = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "a.json"
+        assert main([
+            "flops", "--axis", "dense", "--points", "64:2,128:2", "--out", str(a),
+        ]) == 0
+        embedded, _, rows = read_log(a)
+        assert (embedded["axis"], embedded["points"]) == ("dense", "64:2,128:2")
+        assert len(rows) == 2
+        cfg.write_text(json.dumps(embedded))
+        assert main(["flops", "--config", str(cfg), "--out", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
 
     def test_rlb_savings_printed(self, corpus, capsys):
         rc = main([

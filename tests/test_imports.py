@@ -1,5 +1,6 @@
-"""Every module-level import in the package modules is used, and every
-package function the benchmark's tracer wraps still exists."""
+"""Every module-level import in the package modules is used, every
+package function the benchmark's tracer wraps still exists, and files are
+written only through the atomic write path."""
 
 import ast
 import importlib.util
@@ -33,6 +34,59 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {n: line for n, line in _bound_names(tree).items() if n not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# (module, function) allowed to write a file in place: the atomic helper
+# itself, and the training log that `train` appends to one row per step
+WRITERS = {("features.py", "write_atomic"), ("cli.py", "cmd_train")}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """open(path, mode) or <path>.open(mode) with a writing mode, or a
+    write_text / write_bytes call.  A mode that is not a literal counts as
+    writing."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else None
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode = call.args[0] if call.args else None
+    else:
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    if mode is None:
+        return False
+    literals = [
+        n.value for n in ast.walk(mode)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    return not literals or any(set(m) & set("wax+") for m in literals)
+
+
+def _writes(node: ast.AST, func: str | None = None) -> list[tuple[str | None, int]]:
+    """(innermost enclosing function, line) of every writing call under node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _opens_for_writing(child):
+            found.append((func, child.lineno))
+        is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        found += _writes(child, child.name if is_def else func)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_files_are_written_atomically(path):
+    writes = _writes(ast.parse(path.read_text()))
+    stray = [(f, line) for f, line in writes if (path.name, f) not in WRITERS]
+    assert not stray, f"{path.name}: write outside features.write_atomic at {stray}"
+
+
+def test_write_check_sees_every_writer():
+    found = {
+        (p.name, f) for p in MODULES for f, _ in _writes(ast.parse(p.read_text()))
+    }
+    assert found == WRITERS
 
 
 def _load_tracing():
