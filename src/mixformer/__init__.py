@@ -15,7 +15,6 @@ if "MIXFORMER_NUM_THREADS" in _os.environ:
 from .autodiff import FlopTrace, GradCheckReport, Tensor, grad_check, no_grad
 from .blocks import (
     AblationFlags,
-    BlockParams,
     DecoupleConfig,
     ModelConfig,
     ParameterStore,

@@ -164,36 +164,6 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # Operator sugar.  Scalars are fine; ndarray operands become constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        raise TypeError("Tensor division only supports python scalars")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -246,16 +216,6 @@ def add(a, b) -> Tensor:
 
     def vjp(g):
         return _sum_to_shape(g, a.data.shape), _sum_to_shape(g, b.data.shape)
-
-    return _make(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _sum_to_shape(g, a.data.shape), -_sum_to_shape(g, b.data.shape)
 
     return _make(out, (a, b), vjp)
 

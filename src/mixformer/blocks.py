@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import BinaryIO, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -108,6 +108,8 @@ class ModelConfig:
             )
         if self.max_seq_len < 0 or self.n_tasks < 1:
             raise ConfigError("max_seq_len must be >= 0 and n_tasks >= 1")
+        if self.task_hidden is not None and self.task_hidden < 1:
+            raise ConfigError(f"task_hidden must be >= 1, not {self.task_hidden}")
         if self.expansion_ratio <= 0:
             raise ConfigError("expansion_ratio must be positive")
         if self.seq_expansion_ratio is not None and self.seq_expansion_ratio <= 0:
@@ -166,55 +168,39 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _from_dict(kind, d, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, not {json.dumps(d)}")
+def settings_from_json(kind, obj, base=None, where: str = "config"):
+    """A kind dataclass from the JSON object obj laid over base, a kind
+    instance; nested dataclass fields are laid over base's the same way.
+    With no base, obj must hold every required field.  An unknown key at
+    any depth, a value whose JSON type does not fit its field, or a
+    missing field is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, not {json.dumps(obj)}")
     hints = get_type_hints(kind)
-    d = dict(d)
-    for key, value in d.items():
-        hint = hints.get(key)
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    values = {} if base is None else {f.name: getattr(base, f.name) for f in fields(kind)}
+    for key, value in obj.items():
+        hint = hints[key]
         if is_dataclass(hint):
-            d[key] = _from_dict(hint, value, f"{where}.{key}")
-        elif hint is not None and not _fits(value, hint):
+            value = settings_from_json(hint, value, values.get(key), f"{where}.{key}")
+        elif not _fits(value, hint):
             raise ConfigError(
                 f"{where}.{key} must be {kind.__dataclass_fields__[key].type}, "
                 f"not {json.dumps(value)}"
             )
+        values[key] = value
     try:
-        return kind(**d)
+        return kind(**values)
     except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of config_to_dict.  A value whose JSON type does not fit its
-    field, here or inside ablations and decoupling, is a ConfigError, as is
-    an unknown or missing key."""
-    return _from_dict(ModelConfig, d, "model")
-
-
-@dataclass
-class BlockParams:
-    """Parameter views for one block; entries are None when an ablation
-    removes the corresponding sublayer."""
-
-    qm_norm: ad.Tensor | None
-    qm_gate: ad.Tensor | None
-    qm_up: ad.Tensor | None
-    qm_down: ad.Tensor | None
-    sa_query: ad.Tensor | None
-    sa_key: ad.Tensor | None
-    sa_value: ad.Tensor | None
-    seq_norm: ad.Tensor
-    seq_gate: ad.Tensor
-    seq_up: ad.Tensor
-    seq_down: ad.Tensor
-    key_proj: ad.Tensor
-    value_proj: ad.Tensor
-    of_norm: ad.Tensor
-    of_gate: ad.Tensor
-    of_up: ad.Tensor
-    of_down: ad.Tensor
+    """Inverse of config_to_dict.  There is no base, so every field without
+    a default must be present."""
+    return settings_from_json(ModelConfig, d, where="model")
 
 
 class ParameterStore:
@@ -239,38 +225,26 @@ class ParameterStore:
         self.layout: HeadLayout = head_layout(schema, config.n_heads, config.user_heads)
         self.dense = {name: ad.Tensor(a, requires_grad=True) for name, a in dense.items()}
         self.tables = tables
+        # block() looks tensors up on each call, so swapping an entry of
+        # dense takes effect; only the key -> name map is built here
+        self._block_names: list[dict[str, str]] = [{} for _ in range(config.n_blocks)]
+        for name in dense:
+            head, _, key = name.partition(".")
+            if head == "seq_shared":
+                for names in self._block_names:
+                    names[f"seq.{key}"] = name
+            elif head.startswith("block"):
+                self._block_names[int(head[5:])][key] = name
 
     @property
     def n_dense_params(self) -> int:
         return sum(t.size for t in self.dense.values())
 
-    def _seq_prefix(self, block: int) -> str:
-        return "seq_shared" if self.config.ablations.shared_seq_ffn else f"block{block}.seq"
-
-    def block(self, index: int) -> BlockParams:
-        d = self.dense
-        get = d.get
-        pre = f"block{index}"
-        sp = self._seq_prefix(index)
-        return BlockParams(
-            qm_norm=get(f"{pre}.qm.norm"),
-            qm_gate=get(f"{pre}.qm.ffn.gate"),
-            qm_up=get(f"{pre}.qm.ffn.up"),
-            qm_down=get(f"{pre}.qm.ffn.down"),
-            sa_query=get(f"{pre}.qm.sa.query"),
-            sa_key=get(f"{pre}.qm.sa.key"),
-            sa_value=get(f"{pre}.qm.sa.value"),
-            seq_norm=d[f"{sp}.norm"],
-            seq_gate=d[f"{sp}.ffn.gate"],
-            seq_up=d[f"{sp}.ffn.up"],
-            seq_down=d[f"{sp}.ffn.down"],
-            key_proj=d[f"{pre}.kv.key"],
-            value_proj=d[f"{pre}.kv.value"],
-            of_norm=d[f"{pre}.of.norm"],
-            of_gate=d[f"{pre}.of.ffn.gate"],
-            of_up=d[f"{pre}.of.ffn.up"],
-            of_down=d[f"{pre}.of.ffn.down"],
-        )
+    def block(self, index: int) -> dict[str, ad.Tensor]:
+        """Block index's tensors, keyed by their parameter_shapes names
+        without the 'block<index>.' prefix; the shared sequence FFN's
+        'seq_shared.*' appear as 'seq.*'."""
+        return {key: self.dense[name] for key, name in self._block_names[index].items()}
 
 
 def glorot_uniform(
@@ -321,7 +295,7 @@ def parameter_shapes(
         pre = f"block{l}"
         if not (flags.wo_hm and flags.wo_qm_ffn):
             shapes[f"{pre}.qm.norm"] = ((dim,), 0, 0)
-        if flags.hm_to_sa:
+        if flags.hm_to_sa and not flags.wo_hm:
             for part in ("query", "key", "value"):
                 shapes[f"{pre}.qm.sa.{part}"] = ((dim, dim), dim, dim)
         if not flags.wo_qm_ffn:
@@ -411,12 +385,12 @@ def _flat_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> 
     return ad.matmul(hidden, dt)
 
 
-def _single_head_sa(x: ad.Tensor, bp: BlockParams, cfg: ModelConfig) -> ad.Tensor:
+def _single_head_sa(x: ad.Tensor, p: dict[str, ad.Tensor], cfg: ModelConfig) -> ad.Tensor:
     """Ablation substitute for head mixing: one self-attention pass over
     the n_heads rows with learned D x D projections."""
-    q = ad.matmul(x, ad.swapaxes(bp.sa_query, -1, -2))
-    k = ad.matmul(x, ad.swapaxes(bp.sa_key, -1, -2))
-    v = ad.matmul(x, ad.swapaxes(bp.sa_value, -1, -2))
+    q, k, v = (
+        ad.matmul(x, ad.swapaxes(p[f"qm.sa.{w}"], -1, -2)) for w in ("query", "key", "value")
+    )
     scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(cfg.head_dim))
     return ad.matmul(ad.softmax(scores), v)
 
@@ -448,7 +422,7 @@ def _mix_rows(xn: ad.Tensor, n: int, rows: tuple[int, int] | None, prefix) -> ad
 
 def query_mixer(
     x,
-    bp: BlockParams,
+    p: dict[str, ad.Tensor],
     cfg: ModelConfig,
     mask: np.ndarray | None = None,
     rows: tuple[int, int] | None = None,
@@ -457,6 +431,7 @@ def query_mixer(
 ) -> ad.Tensor:
     """Head mixing then per-head gated FFNs, each with its own residual.
 
+    p is one block's parameters, as ParameterStore.block gives them.
     mask, when given, multiplies the mixing output of all heads.  With
     rows = (lo, hi), x holds head rows [lo, hi) only, mixing reads rows
     [0, lo) from mix_prefix (see run_blocks) and no mask applies.  record,
@@ -466,7 +441,7 @@ def query_mixer(
     flags = cfg.ablations
     if not flags.wo_hm:
         if flags.hm_to_sa:
-            mix = lambda xn: _single_head_sa(xn, bp, cfg)
+            mix = lambda xn: _single_head_sa(xn, p, cfg)
         else:
 
             def mix(xn: ad.Tensor) -> ad.Tensor:
@@ -475,16 +450,14 @@ def query_mixer(
                 out = _mix_rows(xn, cfg.n_heads, rows, mix_prefix)
                 return out if mask is None else ad.mul(out, ad.Tensor(mask))
 
-        p = _sublayer(x, bp.qm_norm, cfg, mix)
-    else:
-        p = x
+        x = _sublayer(x, p["qm.norm"], cfg, mix)
     if flags.wo_qm_ffn:
-        return p
-    ffn = [_head_rows(w, rows) for w in (bp.qm_gate, bp.qm_up, bp.qm_down)]
-    return _sublayer(p, bp.qm_norm, cfg, lambda pn: _headwise_ffn(pn, *ffn))
+        return x
+    ffn = [_head_rows(p[f"qm.ffn.{w}"], rows) for w in ("gate", "up", "down")]
+    return _sublayer(x, p["qm.norm"], cfg, lambda xn: _headwise_ffn(xn, *ffn))
 
 
-def project_actions(s, bp: BlockParams, cfg: ModelConfig) -> tuple[ad.Tensor, ad.Tensor]:
+def project_actions(s, p: dict[str, ad.Tensor], cfg: ModelConfig) -> tuple[ad.Tensor, ad.Tensor]:
     """Per-block keys and values from the raw sequence embedding.
 
     s is (..., t, n_heads*head_dim).  The gated FFN plus residual reads
@@ -493,14 +466,13 @@ def project_actions(s, bp: BlockParams, cfg: ModelConfig) -> tuple[ad.Tensor, ad
     (..., n_heads, t, head_dim) tensors.
     """
     s = ad.as_tensor(s)
-    h = _sublayer(
-        s, bp.seq_norm, cfg, lambda sn: _flat_ffn(sn, bp.seq_gate, bp.seq_up, bp.seq_down)
-    )
+    ffn = [p[f"seq.ffn.{w}"] for w in ("gate", "up", "down")]
+    h = _sublayer(s, p["seq.norm"], cfg, lambda sn: _flat_ffn(sn, *ffn))
     lead = h.shape[:-2]
     t = h.shape[-2]
     heads = h.reshape(lead + (t, cfg.n_heads, cfg.head_dim)).swapaxes(-3, -2)
-    keys = ad.matmul(heads, ad.swapaxes(bp.key_proj, -1, -2))
-    values = ad.matmul(heads, ad.swapaxes(bp.value_proj, -1, -2))
+    keys = ad.matmul(heads, ad.swapaxes(p["kv.key"], -1, -2))
+    values = ad.matmul(heads, ad.swapaxes(p["kv.value"], -1, -2))
     return keys, values
 
 
@@ -530,17 +502,17 @@ def cross_attention(q, keys, values) -> ad.Tensor:
 
 
 def output_fusion(
-    z, bp: BlockParams, cfg: ModelConfig, rows: tuple[int, int] | None = None
+    z, p: dict[str, ad.Tensor], cfg: ModelConfig, rows: tuple[int, int] | None = None
 ) -> ad.Tensor:
     """Per-head gated FFNs with residual on the attended state."""
     z = ad.as_tensor(z)
-    ffn = [_head_rows(w, rows) for w in (bp.of_gate, bp.of_up, bp.of_down)]
-    return _sublayer(z, bp.of_norm, cfg, lambda zn: _headwise_ffn(zn, *ffn))
+    ffn = [_head_rows(p[f"of.ffn.{w}"], rows) for w in ("gate", "up", "down")]
+    return _sublayer(z, p["of.norm"], cfg, lambda zn: _headwise_ffn(zn, *ffn))
 
 
 def mixformer_block(
     x,
-    bp: BlockParams,
+    p: dict[str, ad.Tensor],
     cfg: ModelConfig,
     kv: tuple | None = None,
     mask: np.ndarray | None = None,
@@ -556,14 +528,14 @@ def mixformer_block(
     keys, values = kv if kv is not None else (None, None)
     if record is not None:
         record.update(keys=keys, values=values)
-    q = query_mixer(x, bp, cfg, mask, rows, mix_prefix, record)
+    q = query_mixer(x, p, cfg, mask, rows, mix_prefix, record)
     if keys is not None and rows is not None:
         keys = ad.as_tensor(keys)[..., rows[0] : rows[1], :, :]
         values = ad.as_tensor(values)[..., rows[0] : rows[1], :, :]
     z = cross_attention(q, keys, values)
     if record is not None:
         record.update(q=q, z=z)
-    return output_fusion(z, bp, cfg, rows)
+    return output_fusion(z, p, cfg, rows)
 
 
 def run_blocks(
@@ -590,14 +562,14 @@ def run_blocks(
     """
     cfg = store.config
     for l in range(cfg.n_blocks):
-        bp = store.block(l)
+        p = store.block(l)
         layer_kv = kv[l] if kv is not None else None
         if seq is not None:
             shape = (seq.shape[0], 1, cfg.n_heads, seq.shape[-2], cfg.head_dim)
-            layer_kv = tuple(a.reshape(shape) for a in project_actions(seq, bp, cfg))
+            layer_kv = tuple(a.reshape(shape) for a in project_actions(seq, p, cfg))
         rec = None if record is None else {}
         prefix = None if mix_prefix is None else mix_prefix[l]
-        x = mixformer_block(x, bp, cfg, layer_kv, mask, rows, prefix, rec)
+        x = mixformer_block(x, p, cfg, layer_kv, mask, rows, prefix, rec)
         if rec is not None:
             record.append({**rec, "out": x})
     return x

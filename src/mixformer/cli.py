@@ -18,24 +18,23 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .blocks import (
     DecoupleConfig,
     ModelConfig,
-    _fits,
-    config_from_dict,
     config_to_dict,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
+    settings_from_json,
 )
 from .datagen import GeneratorSpec, generate, split_dataset, tune_noise_temperature
 from .decouple import allocate_heads, forward_decoupled, rlb_forward
 from .errors import ConfigError, DataError, NumericError
 from .features import (
+    RECORD_MAX,
     Dataset,
     FeatureSchema,
     read_dataset,
@@ -103,37 +102,16 @@ def _load_json(path: str | None) -> dict:
 
 def _resolve(dc, file_cfg: dict, cli_args: dict):
     """defaults < config file < explicit CLI flags."""
-    hints = get_type_hints(type(dc))
-    unknown = set(file_cfg) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        if not _fits(value, hints[key]):
-            raise ConfigError(
-                f"config key '{key}' must be {dc.__dataclass_fields__[key].type}, "
-                f"not {json.dumps(value)}"
-            )
-    merged = asdict(dc)
-    merged.update(file_cfg)
-    merged.update({k: v for k, v in cli_args.items() if v is not None and k in hints})
-    return type(dc)(**merged)
+    run = settings_from_json(type(dc), file_cfg, dc)
+    flags = {k: v for k, v in cli_args.items() if v is not None and k in dc.__dataclass_fields__}
+    return settings_from_json(type(dc), flags, run)
 
 
 def _model_config(run) -> ModelConfig:
+    """The preset, with the run's model overrides laid over it."""
     if run.preset not in PRESETS:
         raise ConfigError(f"unknown preset '{run.preset}'; have {sorted(PRESETS)}")
-    cfg = PRESETS[run.preset]()
-    if run.model:
-        merged = config_to_dict(cfg)
-        for key, val in run.model.items():
-            if key not in merged:
-                raise ConfigError(f"unknown model config key '{key}'")
-            if isinstance(merged[key], dict) and isinstance(val, dict):
-                merged[key].update(val)
-            else:
-                merged[key] = val
-        cfg = config_from_dict(merged)
-    return cfg
+    return settings_from_json(ModelConfig, run.model, PRESETS[run.preset](), "model")
 
 
 def _decoupled(cfg: ModelConfig, schema) -> ModelConfig:
@@ -185,6 +163,13 @@ class GenRun:
     tune_oracle: bool = True
     oracle_lo: float = 0.84
     oracle_hi: float = 0.86
+
+    def __post_init__(self) -> None:
+        if max(self.seq_len, self.candidates_per_request) > RECORD_MAX:
+            raise ConfigError(
+                f"seq_len and candidates_per_request must be <= {RECORD_MAX}, "
+                "the most a dataset record holds"
+            )
 
 
 def cmd_gen(run: GenRun, args: argparse.Namespace) -> int:
@@ -289,6 +274,12 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
             cfg = _decoupled(cfg, schema)
         store = init_parameters(schema, cfg, run.seed)
         opt = Optimizer(store.dense, store.tables, opt_cfg)
+    labels = dataset.requests[0].labels if dataset.requests else None
+    if labels is not None and labels.shape[1] != cfg.n_tasks:
+        raise ConfigError(
+            f"the model has {cfg.n_tasks} task heads but the corpus labels "
+            f"{labels.shape[1]} tasks"
+        )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -68,12 +68,11 @@ class FeatureSchema:
             raise DataError("schema needs at least one action field")
         if self.max_seq_len < 0:
             raise DataError("max_seq_len must be >= 0")
-        names = [f.name for f in self.nonseq_fields]
-        if len(set(names)) != len(names):
-            raise DataError("duplicate non-sequential field names")
-        names = [f.name for f in self.action_fields]
-        if len(set(names)) != len(names):
-            raise DataError("duplicate action field names")
+        if len(table_shapes(self)) < len(self.nonseq_fields) + len(self.action_fields):
+            raise DataError(
+                "two fields share an embedding table: a repeated name, or a "
+                "non-sequential field named 'action:<action field>'"
+            )
 
     def user_fields(self) -> tuple[FeatureField, ...]:
         """User and context fields, in schema order."""
@@ -443,6 +442,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<IIHHHHB")
 # user id, candidates, sequence length
 _RECORD = struct.Struct("<IHH")
+RECORD_MAX = 0xFFFF  # K and t are u16 in a record
 
 
 def read_file(
@@ -539,7 +539,10 @@ def write_dataset(path: str, dataset: Dataset) -> None:
             if has_labels:
                 fh.write(r.labels.astype("<u1").tobytes())
 
-    write_atomic(path, write)
+    try:
+        write_atomic(path, write)
+    except struct.error as exc:
+        raise DataError(f"{path}: the dataset format cannot encode this corpus ({exc})") from exc
 
 
 def read_dataset(path: str, schema: FeatureSchema) -> Dataset:

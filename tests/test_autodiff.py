@@ -55,9 +55,6 @@ class TestGradients:
     def test_add_broadcast(self):
         check_op(ad.add, [RNG.standard_normal((3, 4)), RNG.standard_normal((4,))])
 
-    def test_sub(self):
-        check_op(ad.sub, [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3))])
-
     def test_mul_broadcast(self):
         check_op(ad.mul, [RNG.standard_normal((2, 3, 4)), RNG.standard_normal((3, 1))])
 

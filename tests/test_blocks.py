@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import mixformer as mx
 from mixformer import autodiff as ad
+from mixformer.trainer import batch_loss
 
 from conftest import random_request
+from helpers import random_config
 
 SIGMOID2 = 1.0 / (1.0 + np.exp(-2.0))
 
@@ -165,9 +167,9 @@ class TestParameterStore:
         )
         store = mx.init_parameters(tiny_schema, cfg, seed=0)
         b0, b2 = store.block(0), store.block(2)
-        assert b0.seq_gate is b2.seq_gate
+        assert b0["seq.ffn.gate"] is b2["seq.ffn.gate"]
         # per-block kv projections stay distinct
-        assert b0.key_proj is not b2.key_proj
+        assert b0["kv.key"] is not b2["kv.key"]
 
     def test_shared_of_ffn_single_stack(self, tiny_schema):
         cfg = mx.ModelConfig(
@@ -175,13 +177,13 @@ class TestParameterStore:
             ablations=mx.AblationFlags(shared_of_ffn=True),
         )
         store = mx.init_parameters(tiny_schema, cfg, seed=0)
-        assert store.block(0).of_gate.shape[0] == 1
+        assert store.block(0)["of.ffn.gate"].shape[0] == 1
         base = mx.init_parameters(
             tiny_schema,
             mx.ModelConfig(n_heads=2, head_dim=8, n_blocks=1, max_seq_len=6),
             seed=0,
         )
-        assert base.block(0).of_gate.shape[0] == 2
+        assert base.block(0)["of.ffn.gate"].shape[0] == 2
 
     def test_ablated_params_absent(self, tiny_schema):
         cfg = mx.ModelConfig(
@@ -190,14 +192,27 @@ class TestParameterStore:
         )
         store = mx.init_parameters(tiny_schema, cfg, seed=0)
         bp = store.block(0)
-        assert bp.qm_norm is None and bp.qm_gate is None
+        assert "qm.norm" not in bp and "qm.ffn.gate" not in bp
         cfg2 = mx.ModelConfig(
             n_heads=2, head_dim=8, n_blocks=1, max_seq_len=6,
             ablations=mx.AblationFlags(hm_to_sa=True),
         )
         bp2 = mx.init_parameters(tiny_schema, cfg2, seed=0).block(0)
-        assert bp2.sa_query is not None
-        assert mx.init_parameters(tiny_schema, cfg, seed=0).block(0).sa_query is None
+        assert "qm.sa.query" in bp2
+        assert "qm.sa.query" not in mx.init_parameters(tiny_schema, cfg, seed=0).block(0)
+
+    def test_every_parameter_is_read(self):
+        # parameter_shapes declares no weight that the forward pass leaves
+        # unread: one backward reaches every dense tensor, for every
+        # ablation and decoupled configs, with a non-empty sequence
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            cfg, schema, t = random_config(rng)
+            store = mx.init_parameters(schema, cfg, seed=trial)
+            reqs = [random_request(schema, rng, seq_len=max(t, 1)) for _ in range(2)]
+            batch_loss(mx.stack_requests(reqs), store).backward()
+            unread = [name for name, p in store.dense.items() if p.grad is None]
+            assert not unread, (trial, cfg.ablations, unread)
 
 
 class TestGlorot:

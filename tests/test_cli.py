@@ -449,6 +449,34 @@ class TestTrain:
             "train", "--data", str(corpus), "--out", out,
             "--resume", str(tmp_path / "r" / "checkpoint.bin"),
         ]) == 3
+        # settings that contradict the corpus or the file format exit 2
+        # before any file is written
+        fresh = tmp_path / "fresh"
+        for settings in (
+            {"model": {"n_tasks": 3}},
+            {"model": {"n_tasks": 3}, "max_steps": 0},
+            {"model": {"n_tasks": 1}, "max_steps": 0},
+            {"model": {"task_hidden": 0}},
+        ):
+            bad.write_text(json.dumps(settings))
+            assert main([
+                "train", "--data", str(corpus), "--out", str(fresh), "--config", str(bad),
+            ]) == 2
+        schema = read_schema(str(corpus / "schema.txt"))
+        cfg = mx.ModelConfig(n_heads=4, head_dim=32, n_blocks=2, max_seq_len=64, n_tasks=3)
+        store = mx.init_parameters(schema, cfg, seed=0)
+        tasks3 = tmp_path / "tasks3.bin"
+        mx.save_checkpoint(
+            str(tasks3), store, dense_opt={n: np.zeros(p.shape) for n, p in store.dense.items()}
+        )
+        assert main([
+            "train", "--data", str(corpus), "--out", str(fresh), "--resume", str(tasks3),
+        ]) == 2
+        for flag in ("--seq-len", "--candidates"):
+            assert main(["gen", "--out", str(fresh), flag, "70000"]) == 2
+        assert not fresh.exists()
+        bad.write_text(json.dumps({"model": {"task_hidden": -3}}))
+        assert main(["flops", "--config", str(bad)]) == 2
 
     def test_invalid_preset_message_names_alternative(self, corpus, tmp_path, capsys):
         main([

@@ -56,6 +56,15 @@ class TestSchema:
         b = mx.embed_nonseq_batch(batch, tables, interleaved)
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_table_name_clash_rejected(self):
+        # action tables are keyed 'action:<name>', beside the field names
+        with pytest.raises(mx.DataError):
+            mx.FeatureSchema(
+                nonseq_fields=(mx.FeatureField("action:a", "user", 5, 2),),
+                action_fields=(mx.ActionField("a", 7, 3),),
+                max_seq_len=4,
+            )
+
     def test_bad_side_rejected(self):
         with pytest.raises(mx.DataError):
             mx.FeatureField("x", "banana", 5, 2)
@@ -225,6 +234,14 @@ class TestFileFormats:
         mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=reqs))
         back = mx.read_dataset(str(p), tiny_schema)
         assert back.requests[0].labels is None
+
+    def test_unencodable_request_rejected(self, tmp_path, tiny_schema):
+        # K is a u16 in a record
+        req = random_request(tiny_schema, np.random.default_rng(5), n_candidates=70000)
+        p = tmp_path / "data.bin"
+        with pytest.raises(mx.DataError):
+            mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=[req]))
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path, tiny_schema):
         p = tmp_path / "data.bin"
