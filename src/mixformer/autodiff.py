@@ -271,7 +271,22 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul contraction mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    out = np.matmul(a.data, b.data)
+    # A row of a product should round the same at any number of rows, so
+    # one candidate scores as it does among many.  NumPy sends a one-row
+    # product to gemv, which rounds unlike gemm, and OpenBLAS's gemm
+    # (Haswell kernels, contraction up to 256) keeps a row's rounding across
+    # row counts only when the column count is a multiple of 8.  So a
+    # one-row left operand runs as a two-row copy and the right operand gets
+    # zero columns up to a multiple of 8; both are sliced off.  A one-column
+    # product stays on gemv or dot, whose rows round with the row count:
+    # callers keep those to one row each (task_logits).
+    left, right = a.data, b.data
+    m, o = left.shape[-2], right.shape[-1]
+    if o > 1 and m == 1:
+        left = np.concatenate([left, left], axis=-2)
+    if o > 1 and o % 8:
+        right = np.concatenate([right, np.zeros(right.shape[:-1] + (-o % 8,))], axis=-1)
+    out = np.matmul(left, right)[..., :m, :o]
     k = a.data.shape[-1]
     flops = 2 * out.size * k
 
@@ -301,6 +316,20 @@ def swapaxes(x, a: int, b: int) -> Tensor:
 
     def vjp(g):
         return (np.swapaxes(g, a, b),)
+
+    return _make(out, (x,), vjp)
+
+
+def transpose_copy(x) -> Tensor:
+    """x with its last two axes swapped, as a C-contiguous copy.
+
+    The right operand of a per-head GEMM: with a transposed view there,
+    how a row rounds changes with the number of rows."""
+    x = as_tensor(x)
+    out = np.ascontiguousarray(np.swapaxes(x.data, -1, -2))
+
+    def vjp(g):
+        return (np.swapaxes(g, -1, -2),)
 
     return _make(out, (x,), vjp)
 

@@ -365,15 +365,13 @@ def _sublayer(x: ad.Tensor, scale: ad.Tensor, cfg: ModelConfig, fn) -> ad.Tensor
     return ad.add(fn(_norm(x, scale, cfg)), x)
 
 
-def _col(x: ad.Tensor) -> ad.Tensor:
-    return x.reshape(x.shape + (1,))
-
-
 def _headwise_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
-    # x (..., n, dim); gate/up (n or 1, hidden, dim); down (n or 1, dim, hidden)
-    col = _col(x)
-    hidden = ad.mul(ad.swish(ad.matmul(gate, col)), ad.matmul(up, col))
-    return ad.matmul(down, hidden).reshape(x.shape)
+    # x (..., n, dim); gate/up (n or 1, hidden, dim); down (n or 1, dim, hidden).
+    # One GEMM per head, with every leading axis of x as rows
+    rows = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:]).swapaxes(0, 1)
+    g, u, d = (ad.transpose_copy(w) for w in (gate, up, down))
+    hidden = ad.mul(ad.swish(ad.matmul(rows, g)), ad.matmul(rows, u))
+    return ad.matmul(hidden, d).swapaxes(0, 1).reshape(x.shape)
 
 
 def _flat_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
@@ -479,9 +477,11 @@ def project_actions(s, p: dict[str, ad.Tensor], cfg: ModelConfig) -> tuple[ad.Te
 def cross_attention(q, keys, values) -> ad.Tensor:
     """Per-head dot-product attention onto the sequence, residual from q.
 
-    q is (..., n_heads, head_dim); keys/values are (..., n_heads, t,
-    head_dim) with broadcast-compatible leading axes.  An empty or
-    absent sequence returns q unchanged.
+    q is (..., K, n_heads, head_dim), K candidates of each request, or
+    (n_heads, head_dim) for one; keys/values are (..., n_heads, t,
+    head_dim), one pair per request, with leading axes that broadcast
+    against q's without K.  Each request and head is one GEMM with the
+    candidates as rows.  An empty or absent sequence returns q unchanged.
     """
     q = ad.as_tensor(q)
     if keys is None:
@@ -494,11 +494,10 @@ def cross_attention(q, keys, values) -> ad.Tensor:
     dim = q.shape[-1]
     if keys.shape[-1] != dim or values.shape[-1] != dim or values.shape[-2] != t:
         raise ShapeError("keys/values do not match query head width")
-    scores = ad.mul(ad.matmul(keys, _col(q)), 1.0 / math.sqrt(dim))
-    flat = scores.reshape(scores.shape[:-1])
-    weights = _col(ad.softmax(flat))
-    ctx = ad.matmul(ad.swapaxes(values, -1, -2), weights)
-    return ad.add(ctx.reshape(q.shape), q)
+    rows = (q if q.ndim > 2 else q.reshape((1,) + q.shape)).swapaxes(-3, -2)
+    scores = ad.mul(ad.matmul(rows, ad.transpose_copy(keys)), 1.0 / math.sqrt(dim))
+    ctx = ad.matmul(ad.softmax(scores), values)
+    return ad.add(ctx.swapaxes(-3, -2).reshape(q.shape), q)
 
 
 def output_fusion(
@@ -520,8 +519,8 @@ def mixformer_block(
     mix_prefix=None,
     record: dict | None = None,
 ) -> ad.Tensor:
-    """One full block.  kv is the (keys, values) pair of all heads, shaped
-    to broadcast against x, or None for an empty sequence.  rows and
+    """One full block.  kv is the (keys, values) pair of all heads, as
+    cross_attention takes them, or None for an empty sequence.  rows and
     mix_prefix are as for query_mixer; record, when given, also receives
     "keys", "values", the query-mixer output "q" and attention output "z".
     """
@@ -552,8 +551,8 @@ def run_blocks(
     head_dim) state; rows=None runs all heads.
 
     Keys and values come from kv, one pair per block, or are projected
-    from seq (B, t, model_width) once per request and block and broadcast
-    over candidates, which is exact because they never depend on the
+    from seq (B, t, model_width) once per request and block and shared by
+    its candidates, which is exact because they never depend on the
     candidate.  Head mixing reads rows [0, lo) from mix_prefix (their
     mixing inputs, per block) and rows from hi on as zeros, so the user
     rows [0, n_user_heads) read no item chunk and need no decoupling mask.
@@ -565,8 +564,7 @@ def run_blocks(
         p = store.block(l)
         layer_kv = kv[l] if kv is not None else None
         if seq is not None:
-            shape = (seq.shape[0], 1, cfg.n_heads, seq.shape[-2], cfg.head_dim)
-            layer_kv = tuple(a.reshape(shape) for a in project_actions(seq, p, cfg))
+            layer_kv = project_actions(seq, p, cfg)
         rec = None if record is None else {}
         prefix = None if mix_prefix is None else mix_prefix[l]
         x = mixformer_block(x, p, cfg, layer_kv, mask, rows, prefix, rec)
@@ -576,13 +574,17 @@ def run_blocks(
 
 
 def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
-    """Per-task MLP heads on the flattened stack output: (..., n_tasks)."""
+    """Per-task MLP heads on the flattened stack output: (..., n_tasks).
+
+    The hidden layer is one GEMM per task, with every leading axis as rows.
+    The one-unit output layer is a dot product per row and task, since a
+    one-column GEMM rounds a row differently with the number of rows."""
     w1 = store.dense["task.hidden"]
     w2 = store.dense["task.out"]
     lead = flat.shape[:-1]
-    x = flat.reshape(lead + (1, flat.shape[-1], 1))
-    hidden = ad.swish(ad.matmul(w1, x))
-    out = ad.matmul(w2, hidden)
+    rows = flat.reshape((1, -1, flat.shape[-1]))
+    hidden = ad.swish(ad.matmul(rows, ad.transpose_copy(w1))).swapaxes(0, 1)
+    out = ad.matmul(w2, hidden.reshape(lead + w1.shape[:2] + (1,)))
     return out.reshape(lead + (store.config.n_tasks,))
 
 

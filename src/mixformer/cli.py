@@ -190,16 +190,18 @@ def cmd_gen(run: GenRun, args: argparse.Namespace) -> int:
         spec, achieved = tune_noise_temperature(spec, (run.oracle_lo, run.oracle_hi))
         run = replace(run, noise_temperature=spec.noise_temperature)
     data = generate(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_schema(str(out / "schema.txt"), data.dataset.schema)
-    write_dataset(str(out / "dataset.bin"), data.dataset)
-    write_oracle(str(out / "oracle.csv"), data.oracle)
+    # before anything is written, so a corpus whose oracle AUC is undefined
+    # leaves no files behind
     record = {
         "run_config": asdict(run),
         "oracle_auc": achieved if achieved is not None else data.oracle_auc(0),
         "n_impressions": data.dataset.n_impressions,
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_schema(str(out / "schema.txt"), data.dataset.schema)
+    write_dataset(str(out / "dataset.bin"), data.dataset)
+    write_oracle(str(out / "oracle.csv"), data.oracle)
     write_atomic(out / "gen_config.json", json.dumps(record, indent=2, sort_keys=True).encode())
     print(
         f"wrote {len(data.dataset.requests)} requests "

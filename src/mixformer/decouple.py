@@ -88,9 +88,9 @@ class SharedUserState:
     out_user: np.ndarray  # user head rows after the last block
 
 
-def _one(t: ad.Tensor | None) -> np.ndarray | None:
-    # the single request's, single candidate's slice of a (1, 1, ...) tensor
-    return None if t is None else t.data[0, 0]
+def _one(t: ad.Tensor | None, ndim: int = 2) -> np.ndarray | None:
+    # the last ndim axes of a tensor of one request and at most one candidate
+    return None if t is None else t.data.reshape(t.shape[-ndim:])
 
 
 def compute_shared_user_state(request: Request, store: ParameterStore) -> SharedUserState:
@@ -110,12 +110,13 @@ def compute_shared_user_state(request: Request, store: ParameterStore) -> Shared
         rec: list[dict] = []
         # rows [0, n_u) read item rows as zeros, which decouples them unmasked
         out = run_blocks(x0, store, seq=s, rows=(0, n_u), record=rec)
-    keys = ("mix_src", "keys", "values", "q", "z", "out")  # LayerUserState's field order
+    # LayerUserState's field order, with each field's number of axes
+    keys = (("mix_src", 2), ("keys", 3), ("values", 3), ("q", 2), ("z", 2), ("out", 2))
     return SharedUserState(
         e_user=e_user.data.reshape(-1),
         x0_user=_one(x0),
         seq=None if s is None else s.data[0],
-        layers=[LayerUserState(*(_one(r.get(k)) for k in keys)) for r in rec],
+        layers=[LayerUserState(*(_one(r.get(k), d) for k, d in keys)) for r in rec],
         out_user=_one(out),
     )
 

@@ -338,9 +338,10 @@ def split_heads(
         projections = projections[heads[0] : heads[1]]
         n = heads[1] - heads[0]
     lead = padded.shape[:-1]
-    sliced = padded.reshape(lead + (n, width, 1))
-    out = ad.matmul(projections, sliced)
-    return out.reshape(lead + (n, model_dim))
+    # one GEMM per head, with every leading axis as rows
+    rows = padded.reshape((math.prod(lead), n, width)).swapaxes(0, 1)
+    out = ad.matmul(rows, ad.transpose_copy(projections))
+    return out.swapaxes(0, 1).reshape(lead + (n, model_dim))
 
 
 @dataclass

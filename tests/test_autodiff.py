@@ -72,6 +72,17 @@ class TestGradients:
             [RNG.standard_normal((2, 1, 3, 4)), RNG.standard_normal((1, 6, 4, 2))],
         )
 
+    def test_matmul_one_row(self):
+        check_op(ad.matmul, [RNG.standard_normal((2, 1, 4)), RNG.standard_normal((4, 3))])
+
+    def test_transpose_copy(self):
+        x = RNG.standard_normal((2, 3, 4))
+        check_op(ad.transpose_copy, [x])
+        assert ad.grad_check(ad.transpose_copy, [x]).passed
+        out = ad.transpose_copy(x).data
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np.swapaxes(x, -1, -2))
+
     def test_reshape_swapaxes(self):
         check_op(lambda x: ad.reshape(x, (3, 8)), [RNG.standard_normal((3, 2, 4))])
         check_op(lambda x: ad.swapaxes(x, 0, 2), [RNG.standard_normal((2, 3, 4))])
@@ -187,6 +198,30 @@ class TestFoldedMatmulBackward:
         finally:
             tracemalloc.stop()
         assert peak < product_bytes / 8
+
+
+class TestRowRounding:
+    """A row of a matmul rounds the same at any number of rows, so a stacked
+    batch scores each candidate exactly as scoring it alone does.  The
+    shapes are the model's per-head weights and a score product whose
+    column count is not a multiple of 8."""
+
+    @pytest.mark.parametrize(
+        "shape", [(32, 64), (64, 32), (10, 32), (128, 32), (32, 256), (256, 32), (32, 10)]
+    )
+    def test_one_row_equals_its_row_of_many(self, shape):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal(shape)
+        x = rng.standard_normal((1024, shape[0]))
+        alone = np.stack([ad.matmul(x[i : i + 1], w).data[0] for i in range(1024)])
+        for m in (2, 3, 64, 1024):
+            np.testing.assert_array_equal(ad.matmul(x[:m], w).data, alone[:m])
+
+    def test_padding_is_not_counted(self):
+        with ad.FlopTrace() as tr:
+            out = ad.matmul(np.ones((1, 32)), np.ones((32, 10)))
+        assert out.shape == (1, 10)
+        assert tr.total == 2 * 10 * 32
 
 
 class TestHandValues:

@@ -276,6 +276,30 @@ class TestForward:
             for k in range(4):
                 np.testing.assert_array_equal(batched[b, k], mx.forward(r, k, store))
 
+    @pytest.mark.parametrize("seq_len", [6, 10])
+    @pytest.mark.parametrize("n_user_heads", [0, 2])
+    def test_stacked_rows_match_single_at_model_width(self, tiny_schema, n_user_heads, seq_len):
+        # 3 requests x 32 candidates put 96 rows in each per-head GEMM, enough
+        # rows for a transposed weight view to round a row differently from
+        # the same row scored alone; 10 actions make a score GEMM whose
+        # column count is not a multiple of 8
+        schema = dataclasses.replace(tiny_schema, max_seq_len=seq_len)
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=32, n_blocks=2, max_seq_len=seq_len,
+            decoupling=mx.DecoupleConfig(n_user_heads > 0, n_user_heads, 4 - n_user_heads),
+        )
+        rng = np.random.default_rng(21)
+        store = mx.init_parameters(schema, cfg, seed=3)
+        reqs = [random_request(schema, rng, n_candidates=32) for _ in range(3)]
+        reqs.append(random_request(schema, rng, n_candidates=1))
+        batched = mx.batched_forward(mx.stack_requests(reqs[:3]), store)
+        for b, r in enumerate(reqs):
+            rows = batched[b] if b < 3 else mx.batched_forward(mx.stack_requests([r]), store)[0]
+            single = np.stack([mx.forward(r, k, store) for k in range(r.n_candidates)])
+            np.testing.assert_array_equal(rows, single)
+            if n_user_heads:
+                np.testing.assert_array_equal(mx.rlb_forward(r, store), single)
+
     def test_empty_sequence_request(self, tiny_schema, tiny_config):
         rng = np.random.default_rng(6)
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)

@@ -418,6 +418,12 @@ class TestTrain:
         assert main([
             "train", "--data", str(corpus), "--out", out, "--resume", str(cut),
         ]) == 3
+        one_class = tmp_path / "one_class"  # a corpus whose oracle AUC is undefined
+        assert main([
+            "gen", "--out", str(one_class), "--requests", "1", "--candidates", "2",
+            "--seq-len", "3", "--users", "5", "--items", "5", "--no-tune-oracle", "--seed", "0",
+        ]) == 3
+        assert not one_class.exists()
         assert main(["flops", "--axis", "sequence", "--points", "5,x"]) == 2
         assert main(["flops", "--axis", "dense", "--points", "384:x"]) == 2
         for ks in ("32,x", "0"):

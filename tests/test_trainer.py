@@ -165,6 +165,42 @@ class TestMetrics:
         with pytest.raises(mx.MetricError):
             mx.uauc(np.array([0.5, 0.5]), np.array([1, 1]), np.array([1, 1]))
 
+    def test_uauc_matches_per_user_auc(self):
+        # the one-pass rank sums against auc() run on each user's rows
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(2, 300))
+            scores = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))  # ties
+            labels = (rng.random(n) < 0.4).astype(np.float64)
+            users = rng.integers(0, 40, n)
+            vals, sizes = [], []
+            for u in np.unique(users):
+                sel = users == u
+                if 0 < labels[sel].sum() < sel.sum():
+                    vals.append(mx.auc(scores[sel], labels[sel]))
+                    sizes.append(sel.sum())
+            if not vals:
+                continue
+            assert abs(mx.uauc(scores, labels, users) - np.mean(vals)) < 1e-12
+            weighted = mx.uauc(scores, labels, users, weighted=True)
+            assert abs(weighted - np.average(vals, weights=sizes)) < 1e-12
+
+    def test_uauc_rejects_bad_input(self):
+        scores = np.array([0.9, 0.1, 0.8, np.nan])
+        labels = np.array([1, 0, 1, 1])
+        users = np.array([1, 1, 2, 2])
+        with pytest.raises(mx.MetricError):
+            mx.uauc(scores, labels, users[:3])
+        with pytest.raises(mx.MetricError):
+            mx.uauc(scores[:0], labels[:0], users[:0])
+        # a non-finite score counts only for a user with both classes
+        assert mx.uauc(scores, labels, users) == 1.0
+        with pytest.raises(mx.NumericError):
+            mx.uauc(scores, np.array([1, 0, 1, 0]), users)
+        # labels reaching 0.5 make a user count, but 0.5 is no positive
+        with pytest.raises(mx.MetricError):
+            mx.uauc(scores[:2], np.array([0.5, 0.0]), users[:2])
+
     def test_logloss_matches_formula(self):
         p = np.array([0.9, 0.2])
         y = np.array([1.0, 0.0])
