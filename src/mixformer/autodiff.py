@@ -262,8 +262,39 @@ def _folded_matmul(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) 
     return np.matmul(left, right).reshape(shape)
 
 
-def matmul(a, b) -> Tensor:
-    """Broadcasting matrix product; both operands must be at least 2-d."""
+ROW_TILE = 16
+
+
+def _tiled_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """np.matmul with every row computed in a GEMM call of one fixed shape.
+
+    A row of a product should round the same at any number of rows, so one
+    candidate scores exactly as it does among many.  A BLAS picks its
+    kernel, edge handling and thread split from a call's shape, so the
+    same row can round differently in GEMMs of different row counts.  Here
+    the rows go in tiles of ROW_TILE (the last one zero-padded), the
+    columns are zero-padded to a multiple of 8, and each tile is its own
+    GEMM call of the same shape; both paddings are sliced off.
+    """
+    m, c = left.shape[-2:]
+    o = right.shape[-1]
+    if o % 8:
+        right = np.concatenate([right, np.zeros(right.shape[:-1] + (-o % 8,))], axis=-1)
+    if m % ROW_TILE:
+        left = np.concatenate([left, np.zeros(left.shape[:-2] + (-m % ROW_TILE, c))], axis=-2)
+    tiles = left.reshape(left.shape[:-2] + (left.shape[-2] // ROW_TILE, ROW_TILE, c))
+    out = np.matmul(tiles, right[..., None, :, :])
+    return out.reshape(out.shape[:-3] + (left.shape[-2], right.shape[-1]))[..., :m, :o]
+
+
+def matmul(a, b, tiled: bool = False) -> Tensor:
+    """Broadcasting matrix product; both operands must be at least 2-d.
+
+    With tiled, a product with more than one column runs through
+    _tiled_matmul, so each of its rows rounds the same at any row count.
+    A one-column product stays on gemv or dot, whose rows round with the
+    row count: callers keep those to one row each (task_logits).
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have ndim >= 2")
@@ -271,22 +302,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul contraction mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    # A row of a product should round the same at any number of rows, so
-    # one candidate scores as it does among many.  NumPy sends a one-row
-    # product to gemv, which rounds unlike gemm, and OpenBLAS's gemm
-    # (Haswell kernels, contraction up to 256) keeps a row's rounding across
-    # row counts only when the column count is a multiple of 8.  So a
-    # one-row left operand runs as a two-row copy and the right operand gets
-    # zero columns up to a multiple of 8; both are sliced off.  A one-column
-    # product stays on gemv or dot, whose rows round with the row count:
-    # callers keep those to one row each (task_logits).
-    left, right = a.data, b.data
-    m, o = left.shape[-2], right.shape[-1]
-    if o > 1 and m == 1:
-        left = np.concatenate([left, left], axis=-2)
-    if o > 1 and o % 8:
-        right = np.concatenate([right, np.zeros(right.shape[:-1] + (-o % 8,))], axis=-1)
-    out = np.matmul(left, right)[..., :m, :o]
+    if tiled and b.data.shape[-1] > 1:
+        out = _tiled_matmul(a.data, b.data)
+    else:
+        out = np.matmul(a.data, b.data)
     k = a.data.shape[-1]
     flops = 2 * out.size * k
 

@@ -370,8 +370,8 @@ def _headwise_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor)
     # One GEMM per head, with every leading axis of x as rows
     rows = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:]).swapaxes(0, 1)
     g, u, d = (ad.transpose_copy(w) for w in (gate, up, down))
-    hidden = ad.mul(ad.swish(ad.matmul(rows, g)), ad.matmul(rows, u))
-    return ad.matmul(hidden, d).swapaxes(0, 1).reshape(x.shape)
+    hidden = ad.mul(ad.swish(ad.matmul(rows, g, tiled=True)), ad.matmul(rows, u, tiled=True))
+    return ad.matmul(hidden, d, tiled=True).swapaxes(0, 1).reshape(x.shape)
 
 
 def _flat_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
@@ -477,11 +477,11 @@ def project_actions(s, p: dict[str, ad.Tensor], cfg: ModelConfig) -> tuple[ad.Te
 def cross_attention(q, keys, values) -> ad.Tensor:
     """Per-head dot-product attention onto the sequence, residual from q.
 
-    q is (..., K, n_heads, head_dim), K candidates of each request, or
-    (n_heads, head_dim) for one; keys/values are (..., n_heads, t,
-    head_dim), one pair per request, with leading axes that broadcast
-    against q's without K.  Each request and head is one GEMM with the
-    candidates as rows.  An empty or absent sequence returns q unchanged.
+    q is (..., K, n_heads, head_dim), K candidates of each request;
+    keys/values are (..., n_heads, t, head_dim), one pair per request,
+    with leading axes that broadcast against q's without K.  Each request
+    and head is one GEMM with the candidates as rows.  An empty or absent
+    sequence returns q unchanged.
     """
     q = ad.as_tensor(q)
     if keys is None:
@@ -491,12 +491,14 @@ def cross_attention(q, keys, values) -> ad.Tensor:
     t = keys.shape[-2]
     if t == 0:
         return q
+    if q.ndim < 3:
+        raise ShapeError(f"queries must be (..., K, n_heads, head_dim), got {q.shape}")
     dim = q.shape[-1]
     if keys.shape[-1] != dim or values.shape[-1] != dim or values.shape[-2] != t:
         raise ShapeError("keys/values do not match query head width")
-    rows = (q if q.ndim > 2 else q.reshape((1,) + q.shape)).swapaxes(-3, -2)
-    scores = ad.mul(ad.matmul(rows, ad.transpose_copy(keys)), 1.0 / math.sqrt(dim))
-    ctx = ad.matmul(ad.softmax(scores), values)
+    rows = q.swapaxes(-3, -2)
+    scores = ad.mul(ad.matmul(rows, ad.transpose_copy(keys), tiled=True), 1.0 / math.sqrt(dim))
+    ctx = ad.matmul(ad.softmax(scores), values, tiled=True)
     return ad.add(ctx.swapaxes(-3, -2).reshape(q.shape), q)
 
 
@@ -583,7 +585,7 @@ def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
     w2 = store.dense["task.out"]
     lead = flat.shape[:-1]
     rows = flat.reshape((1, -1, flat.shape[-1]))
-    hidden = ad.swish(ad.matmul(rows, ad.transpose_copy(w1))).swapaxes(0, 1)
+    hidden = ad.swish(ad.matmul(rows, ad.transpose_copy(w1), tiled=True)).swapaxes(0, 1)
     out = ad.matmul(w2, hidden.reshape(lead + w1.shape[:2] + (1,)))
     return out.reshape(lead + (store.config.n_tasks,))
 

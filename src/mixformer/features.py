@@ -340,7 +340,7 @@ def split_heads(
     lead = padded.shape[:-1]
     # one GEMM per head, with every leading axis as rows
     rows = padded.reshape((math.prod(lead), n, width)).swapaxes(0, 1)
-    out = ad.matmul(rows, ad.transpose_copy(projections))
+    out = ad.matmul(rows, ad.transpose_copy(projections), tiled=True)
     return out.swapaxes(0, 1).reshape(lead + (n, model_dim))
 
 

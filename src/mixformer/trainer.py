@@ -190,44 +190,29 @@ def uauc(
 ) -> float:
     """Mean per-user AUC over users with both classes.
 
-    weighted=True weights each user by their impression count.  One sort
-    by (user, score) gives every user's tie-aware rank sum, the identity
-    auc uses."""
+    weighted=True weights each user by their impression count."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     user_ids = np.asarray(user_ids).ravel()
     if not (scores.shape == labels.shape == user_ids.shape):
         raise MetricError("uauc needs aligned scores, labels, user_ids")
-    if scores.size == 0:
+    # one stable sort splits the impressions by user, each in input order
+    order = np.argsort(user_ids, kind="stable")
+    users = user_ids[order]
+    groups = np.split(order, np.flatnonzero(users[1:] != users[:-1]) + 1) if order.size else []
+    vals: list[float] = []
+    weights: list[float] = []
+    for sel in groups:
+        sub_labels = labels[sel]
+        if sub_labels.min() > 0.5 or sub_labels.max() < 0.5:
+            continue
+        vals.append(auc(scores[sel], sub_labels))
+        weights.append(float(sel.size))
+    if not vals:
         raise MetricError("no user has both classes; uauc undefined")
-    order = np.lexsort((scores, user_ids))
-    users, s, y = user_ids[order], scores[order], labels[order]
-    first = np.r_[True, users[1:] != users[:-1]]
-    starts = np.flatnonzero(first)
-    user = np.cumsum(first) - 1
-    # a user counts unless all its labels lie on one side of 0.5
-    counted = ~(
-        (np.minimum.reduceat(y, starts) > 0.5) | (np.maximum.reduceat(y, starts) < 0.5)
-    )
-    if not np.all(np.isfinite(s[counted[user]])):
-        raise NumericError("auc received non-finite scores")
-    pos = y > 0.5
-    size = np.diff(np.r_[starts, s.size])
-    n_pos = np.add.reduceat(pos, starts)
-    n_neg = size - n_pos
-    if np.any(counted & ((n_pos == 0) | (n_neg == 0))):
-        raise MetricError("auc is undefined with a single class")
-    if not counted.any():
-        raise MetricError("no user has both classes; uauc undefined")
-    # equal scores of one user share the mean of their 1-based ranks
-    tie = np.flatnonzero(first | np.r_[True, s[1:] != s[:-1]])
-    tie_last = np.r_[tie[1:], s.size] - 1
-    rank = np.arange(1, s.size + 1) - starts[user]
-    ranks = np.repeat((rank[tie] + rank[tie_last]) / 2.0, tie_last - tie + 1)
-    rank_sum = np.add.reduceat(np.where(pos, ranks, 0.0), starts)
-    vals = (rank_sum - n_pos * (n_pos + 1) / 2.0)[counted] / (n_pos * n_neg)[counted]
     if weighted:
-        return float(np.average(vals, weights=size[counted]))
+        w = np.array(weights)
+        return float(np.average(np.array(vals), weights=w))
     return float(np.mean(vals))
 
 

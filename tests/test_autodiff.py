@@ -73,7 +73,10 @@ class TestGradients:
         )
 
     def test_matmul_one_row(self):
-        check_op(ad.matmul, [RNG.standard_normal((2, 1, 4)), RNG.standard_normal((4, 3))])
+        check_op(
+            lambda a, b: ad.matmul(a, b, tiled=True),
+            [RNG.standard_normal((2, 1, 4)), RNG.standard_normal((4, 3))],
+        )
 
     def test_transpose_copy(self):
         x = RNG.standard_normal((2, 3, 4))
@@ -201,25 +204,35 @@ class TestFoldedMatmulBackward:
 
 
 class TestRowRounding:
-    """A row of a matmul rounds the same at any number of rows, so a stacked
-    batch scores each candidate exactly as scoring it alone does.  The
-    shapes are the model's per-head weights and a score product whose
-    column count is not a multiple of 8."""
+    """A row of a tiled matmul rounds the same at any number of rows, so a
+    stacked batch scores each candidate exactly as scoring it alone does.
+    The shapes are the model's per-head weights, a score product whose
+    column count is not a multiple of 8, and contractions of 384 and 768,
+    the head widths of the corrected presets."""
 
     @pytest.mark.parametrize(
-        "shape", [(32, 64), (64, 32), (10, 32), (128, 32), (32, 256), (256, 32), (32, 10)]
+        "shape",
+        [(32, 64), (64, 32), (10, 32), (128, 32), (32, 256), (256, 32), (32, 10),
+         (384, 300), (768, 40)],
     )
     def test_one_row_equals_its_row_of_many(self, shape):
         rng = np.random.default_rng(11)
         w = rng.standard_normal(shape)
         x = rng.standard_normal((1024, shape[0]))
-        alone = np.stack([ad.matmul(x[i : i + 1], w).data[0] for i in range(1024)])
+        alone = np.stack([ad.matmul(x[i : i + 1], w, tiled=True).data[0] for i in range(1024)])
         for m in (2, 3, 64, 1024):
-            np.testing.assert_array_equal(ad.matmul(x[:m], w).data, alone[:m])
+            np.testing.assert_array_equal(ad.matmul(x[:m], w, tiled=True).data, alone[:m])
+
+    def test_tiled_equals_plain_product(self):
+        rng = np.random.default_rng(12)
+        x, w = rng.standard_normal((2, 3, 70, 5)), rng.standard_normal((3, 5, 12))
+        np.testing.assert_allclose(
+            ad.matmul(x, w, tiled=True).data, np.matmul(x, w), rtol=1e-13, atol=1e-13
+        )
 
     def test_padding_is_not_counted(self):
         with ad.FlopTrace() as tr:
-            out = ad.matmul(np.ones((1, 32)), np.ones((32, 10)))
+            out = ad.matmul(np.ones((1, 32)), np.ones((32, 10)), tiled=True)
         assert out.shape == (1, 10)
         assert tr.total == 2 * 10 * 32
 

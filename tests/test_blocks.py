@@ -81,12 +81,12 @@ class TestHeadMixing:
 class TestCrossAttention:
     def test_two_step_hand_case(self):
         # T=2, D=1: scores [1, 3], softmax weight sigmoid(2) on the second
-        q = np.array([[1.0]])
+        q = np.array([[[1.0]]])
         keys = np.array([[[1.0], [3.0]]])
         values = np.array([[[2.0], [4.0]]])
         out = mx.cross_attention(q, keys, values).data
         expected = 2 * (1 - SIGMOID2) + 4 * SIGMOID2 + 1.0
-        np.testing.assert_allclose(out, [[expected]])
+        np.testing.assert_allclose(out, [[[expected]]])
         assert abs(expected - 4.761594155955764) < 1e-15
 
     def test_empty_sequence_is_identity(self):
@@ -100,15 +100,19 @@ class TestCrossAttention:
     def test_uniform_keys_average_values(self):
         # identical keys make attention an exact mean over value rows
         rng = np.random.default_rng(2)
-        q = rng.standard_normal((2, 3))
+        q = rng.standard_normal((1, 2, 3))
         keys = np.broadcast_to(rng.standard_normal((2, 1, 3)), (2, 5, 3)).copy()
         values = rng.standard_normal((2, 5, 3))
         out = mx.cross_attention(q, keys, values).data
-        np.testing.assert_allclose(out, values.mean(axis=1) + q, rtol=1e-12)
+        np.testing.assert_allclose(out[0], values.mean(axis=1) + q[0], rtol=1e-12)
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(mx.ShapeError):
-            mx.cross_attention(np.ones((2, 3)), np.ones((2, 4, 5)), np.ones((2, 4, 5)))
+            mx.cross_attention(np.ones((1, 2, 3)), np.ones((2, 4, 5)), np.ones((2, 4, 5)))
+
+    def test_queries_need_a_candidate_axis(self):
+        with pytest.raises(mx.ShapeError):
+            mx.cross_attention(np.ones((2, 3)), np.ones((2, 4, 3)), np.ones((2, 4, 3)))
 
 
 class TestConfig:
@@ -265,6 +269,23 @@ class TestResidualStructure:
         np.testing.assert_array_equal(out.data, x)
 
 
+def _assert_stacked_rows_match_single(schema, cfg, n_candidates):
+    # 3 stacked requests and one of a single candidate score each candidate
+    # bit for bit as forward (and rlb_forward, when decoupled) does alone
+    schema = dataclasses.replace(schema, max_seq_len=cfg.max_seq_len)
+    rng = np.random.default_rng(21)
+    store = mx.init_parameters(schema, cfg, seed=3)
+    reqs = [random_request(schema, rng, n_candidates=n_candidates) for _ in range(3)]
+    reqs.append(random_request(schema, rng, n_candidates=1))
+    batched = mx.batched_forward(mx.stack_requests(reqs[:3]), store)
+    for b, r in enumerate(reqs):
+        rows = batched[b] if b < 3 else mx.batched_forward(mx.stack_requests([r]), store)[0]
+        single = np.stack([mx.forward(r, k, store) for k in range(r.n_candidates)])
+        np.testing.assert_array_equal(rows, single)
+        if cfg.user_heads:
+            np.testing.assert_array_equal(mx.rlb_forward(r, store), single)
+
+
 class TestForward:
     def test_batched_matches_single(self, tiny_schema, tiny_config):
         rng = np.random.default_rng(5)
@@ -283,22 +304,21 @@ class TestForward:
         # rows for a transposed weight view to round a row differently from
         # the same row scored alone; 10 actions make a score GEMM whose
         # column count is not a multiple of 8
-        schema = dataclasses.replace(tiny_schema, max_seq_len=seq_len)
         cfg = mx.ModelConfig(
             n_heads=4, head_dim=32, n_blocks=2, max_seq_len=seq_len,
             decoupling=mx.DecoupleConfig(n_user_heads > 0, n_user_heads, 4 - n_user_heads),
         )
-        rng = np.random.default_rng(21)
-        store = mx.init_parameters(schema, cfg, seed=3)
-        reqs = [random_request(schema, rng, n_candidates=32) for _ in range(3)]
-        reqs.append(random_request(schema, rng, n_candidates=1))
-        batched = mx.batched_forward(mx.stack_requests(reqs[:3]), store)
-        for b, r in enumerate(reqs):
-            rows = batched[b] if b < 3 else mx.batched_forward(mx.stack_requests([r]), store)[0]
-            single = np.stack([mx.forward(r, k, store) for k in range(r.n_candidates)])
-            np.testing.assert_array_equal(rows, single)
-            if n_user_heads:
-                np.testing.assert_array_equal(mx.rlb_forward(r, store), single)
+        _assert_stacked_rows_match_single(tiny_schema, cfg, n_candidates=32)
+
+    def test_stacked_rows_match_single_at_wide_heads(self, tiny_schema):
+        # the corrected presets' head width: every per-head GEMM contracts
+        # over 384 or more, where one GEMM of all rows stops matching a row
+        # scored alone
+        cfg = mx.ModelConfig(
+            n_heads=2, head_dim=384, n_blocks=1, max_seq_len=10,
+            decoupling=mx.DecoupleConfig(True, 1, 1),
+        )
+        _assert_stacked_rows_match_single(tiny_schema, cfg, n_candidates=12)
 
     def test_empty_sequence_request(self, tiny_schema, tiny_config):
         rng = np.random.default_rng(6)
