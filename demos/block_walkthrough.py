@@ -67,11 +67,11 @@ def main():
     print("flops spent mixing:", trace.total)
 
     banner("cross attention reads the action sequence")
-    from mixformer.blocks import project_actions
+    from mixformer.blocks import sequence_embedding
 
     actions = mx.embed_actions_batch(batch, store.tables, schema)[0]
-    seq = ad.matmul(actions, ad.swapaxes(store.dense["seq.input_proj"], -1, -2))
-    keys, values = project_actions(seq, store.block(0), cfg)
+    seq = sequence_embedding(batch, store)[0]
+    keys, values = mx.project_actions(seq, store.block(0), cfg)
     print("raw action embedding:", actions.data.shape)
     print("projected sequence:  ", seq.data.shape)
     print("per-head keys:       ", keys.data.shape, " values:", values.data.shape)

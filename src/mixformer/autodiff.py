@@ -268,13 +268,12 @@ ROW_TILE = 16
 def _tiled_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """np.matmul with every row computed in a GEMM call of one fixed shape.
 
-    A row of a product should round the same at any number of rows, so one
-    candidate scores exactly as it does among many.  A BLAS picks its
-    kernel, edge handling and thread split from a call's shape, so the
-    same row can round differently in GEMMs of different row counts.  Here
-    the rows go in tiles of ROW_TILE (the last one zero-padded), the
-    columns are zero-padded to a multiple of 8, and each tile is its own
-    GEMM call of the same shape; both paddings are sliced off.
+    A BLAS picks its kernel, edge handling and thread split from a call's
+    shape, so the same row can round differently in GEMMs of different row
+    counts.  Here the rows go in tiles of ROW_TILE (the last one
+    zero-padded), the columns are zero-padded to a multiple of 8, and each
+    tile is its own GEMM call of the same shape; both paddings are sliced
+    off.
     """
     m, c = left.shape[-2:]
     o = right.shape[-1]
@@ -287,14 +286,8 @@ def _tiled_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (left.shape[-2], right.shape[-1]))[..., :m, :o]
 
 
-def matmul(a, b, tiled: bool = False) -> Tensor:
-    """Broadcasting matrix product; both operands must be at least 2-d.
-
-    With tiled, a product with more than one column runs through
-    _tiled_matmul, so each of its rows rounds the same at any row count.
-    A one-column product stays on gemv or dot, whose rows round with the
-    row count: callers keep those to one row each (task_logits).
-    """
+def matmul(a, b) -> Tensor:
+    """Broadcasting matrix product; both operands must be at least 2-d."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have ndim >= 2")
@@ -302,10 +295,7 @@ def matmul(a, b, tiled: bool = False) -> Tensor:
         raise ShapeError(
             f"matmul contraction mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    if tiled and b.data.shape[-1] > 1:
-        out = _tiled_matmul(a.data, b.data)
-    else:
-        out = np.matmul(a.data, b.data)
+    out = np.matmul(a.data, b.data)
     k = a.data.shape[-1]
     flops = 2 * out.size * k
 
@@ -316,6 +306,36 @@ def matmul(a, b, tiled: bool = False) -> Tensor:
         )
 
     return _make(out, (a, b), vjp, kind="matmul", flops=flops)
+
+
+def head_matmul(x, w) -> Tensor:
+    """Per-head x @ wᵀ with x's rows as the GEMM rows: (*lead, *rows, n, o).
+
+    x is (*lead, *rows, n, c) and w is (*lead, n, o, c), where lead has
+    w.ndim - 3 axes; either head count n may be 1 and broadcasts.  Each
+    head is one product of all rows against a C-contiguous copy of wᵀ, run
+    through _tiled_matmul, so a row rounds the same at any number of rows
+    and one candidate scores exactly as it does among many.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    nl = w.ndim - 3
+    if nl < 0 or x.ndim < nl + 2 or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"head_matmul cannot multiply {x.shape} by {w.shape} transposed")
+    rows = x.shape[nl:-2]
+    # (*lead, n, R, c) @ (*lead, n, c, o)
+    xr = np.swapaxes(x.data.reshape(x.shape[:nl] + (math.prod(rows),) + x.shape[-2:]), -3, -2)
+    wt = np.ascontiguousarray(np.swapaxes(w.data, -1, -2))
+    out = _tiled_matmul(xr, wt)
+    lead, n, o = out.shape[:nl], out.shape[-3], out.shape[-1]
+
+    def vjp(g):
+        g = np.swapaxes(g.reshape(lead + (xr.shape[-2], n, o)), -3, -2)
+        gx = _folded_matmul(g, np.swapaxes(wt, -1, -2), xr.shape)
+        gw = _folded_matmul(np.swapaxes(xr, -1, -2), g, wt.shape)
+        return np.swapaxes(gx, -3, -2).reshape(x.shape), np.swapaxes(gw, -1, -2)
+
+    data = np.swapaxes(out, -3, -2).reshape(lead + rows + (n, o))
+    return _make(data, (x, w), vjp, kind="matmul", flops=2 * out.size * x.shape[-1])
 
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
@@ -335,20 +355,6 @@ def swapaxes(x, a: int, b: int) -> Tensor:
 
     def vjp(g):
         return (np.swapaxes(g, a, b),)
-
-    return _make(out, (x,), vjp)
-
-
-def transpose_copy(x) -> Tensor:
-    """x with its last two axes swapped, as a C-contiguous copy.
-
-    The right operand of a per-head GEMM: with a transposed view there,
-    how a row rounds changes with the number of rows."""
-    x = as_tensor(x)
-    out = np.ascontiguousarray(np.swapaxes(x.data, -1, -2))
-
-    def vjp(g):
-        return (np.swapaxes(g, -1, -2),)
 
     return _make(out, (x,), vjp)
 

@@ -366,12 +366,9 @@ def _sublayer(x: ad.Tensor, scale: ad.Tensor, cfg: ModelConfig, fn) -> ad.Tensor
 
 
 def _headwise_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
-    # x (..., n, dim); gate/up (n or 1, hidden, dim); down (n or 1, dim, hidden).
-    # One GEMM per head, with every leading axis of x as rows
-    rows = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:]).swapaxes(0, 1)
-    g, u, d = (ad.transpose_copy(w) for w in (gate, up, down))
-    hidden = ad.mul(ad.swish(ad.matmul(rows, g, tiled=True)), ad.matmul(rows, u, tiled=True))
-    return ad.matmul(hidden, d, tiled=True).swapaxes(0, 1).reshape(x.shape)
+    # x (..., n, dim); gate/up (n or 1, hidden, dim); down (n or 1, dim, hidden)
+    hidden = ad.mul(ad.swish(ad.head_matmul(x, gate)), ad.head_matmul(x, up))
+    return ad.head_matmul(hidden, down)
 
 
 def _flat_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
@@ -496,10 +493,8 @@ def cross_attention(q, keys, values) -> ad.Tensor:
     dim = q.shape[-1]
     if keys.shape[-1] != dim or values.shape[-1] != dim or values.shape[-2] != t:
         raise ShapeError("keys/values do not match query head width")
-    rows = q.swapaxes(-3, -2)
-    scores = ad.mul(ad.matmul(rows, ad.transpose_copy(keys), tiled=True), 1.0 / math.sqrt(dim))
-    ctx = ad.matmul(ad.softmax(scores), values, tiled=True)
-    return ad.add(ctx.swapaxes(-3, -2).reshape(q.shape), q)
+    scores = ad.mul(ad.head_matmul(q, keys), 1.0 / math.sqrt(dim))
+    return ad.add(ad.head_matmul(ad.softmax(scores), ad.swapaxes(values, -1, -2)), q)
 
 
 def output_fusion(
@@ -579,13 +574,11 @@ def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
     """Per-task MLP heads on the flattened stack output: (..., n_tasks).
 
     The hidden layer is one GEMM per task, with every leading axis as rows.
-    The one-unit output layer is a dot product per row and task, since a
-    one-column GEMM rounds a row differently with the number of rows."""
+    The one-unit output layer is a dot product per row and task."""
     w1 = store.dense["task.hidden"]
     w2 = store.dense["task.out"]
     lead = flat.shape[:-1]
-    rows = flat.reshape((1, -1, flat.shape[-1]))
-    hidden = ad.swish(ad.matmul(rows, ad.transpose_copy(w1), tiled=True)).swapaxes(0, 1)
+    hidden = ad.swish(ad.head_matmul(flat.reshape(lead + (1, flat.shape[-1])), w1))
     out = ad.matmul(w2, hidden.reshape(lead + w1.shape[:2] + (1,)))
     return out.reshape(lead + (store.config.n_tasks,))
 

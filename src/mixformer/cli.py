@@ -263,6 +263,8 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
     global_step = 0
     if args.resume:
         store, dense_opt, extra = load_checkpoint(args.resume)
+        if store.schema != schema:
+            raise DataError(f"{args.resume} was trained on another schema than {args.data}'s")
         if dense_opt is None:
             raise DataError(f"{args.resume} has no optimizer state; cannot resume")
         opt = Optimizer(store.dense, store.tables, opt_cfg)

@@ -327,7 +327,7 @@ def split_heads(
     """
     e_ns = ad.as_tensor(e_ns)
     projections = ad.as_tensor(projections)
-    n, model_dim, width = projections.shape
+    n, _, width = projections.shape
     if n != layout.n_heads or width != layout.slice_width:
         raise ShapeError(
             f"projections {projections.shape} do not match layout "
@@ -337,11 +337,7 @@ def split_heads(
     if heads is not None and heads != (0, n):
         projections = projections[heads[0] : heads[1]]
         n = heads[1] - heads[0]
-    lead = padded.shape[:-1]
-    # one GEMM per head, with every leading axis as rows
-    rows = padded.reshape((math.prod(lead), n, width)).swapaxes(0, 1)
-    out = ad.matmul(rows, ad.transpose_copy(projections), tiled=True)
-    return out.swapaxes(0, 1).reshape(lead + (n, model_dim))
+    return ad.head_matmul(padded.reshape(padded.shape[:-1] + (n, width)), projections)
 
 
 @dataclass

@@ -260,31 +260,21 @@ def predict(
     4096 impressions; logits_fn maps a stack to (B, K, n_tasks) logits.
     """
     groups = _shape_groups(requests)
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    probs: list = [None] * len(requests)
     for key in sorted(groups):
         idx = groups[key]
         per = max(1, _PREDICT_IMPRESSIONS // key[1])
         for lo in range(0, len(idx), per):
             sel = idx[lo : lo + per]
-            batch = stack_requests([requests[i] for i in sel])
-            p = expit(logits_fn(batch))
-            k = batch.n_candidates
-            order = np.repeat(np.array(sel), k)
-            chunks.append(
-                (
-                    order,
-                    p.reshape(-1, p.shape[-1]),
-                    batch.labels.reshape(-1, p.shape[-1])
-                    if batch.labels is not None
-                    else np.full((len(sel) * k, p.shape[-1]), np.nan),
-                    np.repeat(batch.user_ids, k),
-                )
-            )
-    all_order = np.concatenate([c[0] for c in chunks])
-    resort = np.argsort(all_order, kind="stable")
-    p = np.concatenate([c[1] for c in chunks])[resort]
-    y = np.concatenate([c[2] for c in chunks])[resort]
-    u = np.concatenate([c[3] for c in chunks])[resort]
+            p = expit(logits_fn(stack_requests([requests[i] for i in sel])))
+            for i, rows in zip(sel, p):
+                probs[i] = rows
+    p = np.concatenate(probs)
+    y = np.concatenate([
+        np.full((r.n_candidates, p.shape[-1]), np.nan) if r.labels is None else r.labels
+        for r in requests
+    ])
+    u = np.repeat([r.user_id for r in requests], [r.n_candidates for r in requests])
     return p, y, u
 
 

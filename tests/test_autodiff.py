@@ -73,18 +73,22 @@ class TestGradients:
         )
 
     def test_matmul_one_row(self):
-        check_op(
-            lambda a, b: ad.matmul(a, b, tiled=True),
-            [RNG.standard_normal((2, 1, 4)), RNG.standard_normal((4, 3))],
-        )
+        # one row per head: (1, n, c) against (n, o, c)
+        check_op(ad.head_matmul, [RNG.standard_normal((1, 2, 4)), RNG.standard_normal((2, 3, 4))])
 
-    def test_transpose_copy(self):
-        x = RNG.standard_normal((2, 3, 4))
-        check_op(ad.transpose_copy, [x])
-        assert ad.grad_check(ad.transpose_copy, [x]).passed
-        out = ad.transpose_copy(x).data
-        assert out.flags.c_contiguous
-        np.testing.assert_array_equal(out, np.swapaxes(x, -1, -2))
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((2, 3, 1, 4), (3, 5, 4)),  # one x head for every task (task_logits)
+            ((2, 3, 4, 4), (1, 5, 4)),  # one weight stack for every head (shared_of_ffn)
+            ((2, 3, 4, 6), (2, 4, 5, 6)),  # a lead axis: each request's keys
+        ],
+        ids=["x_one_head", "w_one_head", "keys_lead"],
+    )
+    def test_head_matmul(self, shapes):
+        arrays = [RNG.standard_normal(s) for s in shapes]
+        check_op(ad.head_matmul, arrays)
+        assert ad.grad_check(ad.head_matmul, arrays).passed
 
     def test_reshape_swapaxes(self):
         check_op(lambda x: ad.reshape(x, (3, 8)), [RNG.standard_normal((3, 2, 4))])
@@ -204,7 +208,7 @@ class TestFoldedMatmulBackward:
 
 
 class TestRowRounding:
-    """A row of a tiled matmul rounds the same at any number of rows, so a
+    """A row of head_matmul rounds the same at any number of rows, so a
     stacked batch scores each candidate exactly as scoring it alone does.
     The shapes are the model's per-head weights, a score product whose
     column count is not a multiple of 8, and contractions of 384 and 768,
@@ -217,23 +221,27 @@ class TestRowRounding:
     )
     def test_one_row_equals_its_row_of_many(self, shape):
         rng = np.random.default_rng(11)
-        w = rng.standard_normal(shape)
-        x = rng.standard_normal((1024, shape[0]))
-        alone = np.stack([ad.matmul(x[i : i + 1], w, tiled=True).data[0] for i in range(1024)])
+        # one head: rows (m, 1, c) against the (c, o) weight as (1, o, c)
+        w = rng.standard_normal(shape).T[None]
+        x = rng.standard_normal((1024, 1, shape[0]))
+        alone = np.stack([ad.head_matmul(x[i : i + 1], w).data[0] for i in range(1024)])
         for m in (2, 3, 64, 1024):
-            np.testing.assert_array_equal(ad.matmul(x[:m], w, tiled=True).data, alone[:m])
+            np.testing.assert_array_equal(ad.head_matmul(x[:m], w).data, alone[:m])
 
     def test_tiled_equals_plain_product(self):
         rng = np.random.default_rng(12)
-        x, w = rng.standard_normal((2, 3, 70, 5)), rng.standard_normal((3, 5, 12))
+        x, w = rng.standard_normal((2, 70, 3, 5)), rng.standard_normal((2, 3, 12, 5))
         np.testing.assert_allclose(
-            ad.matmul(x, w, tiled=True).data, np.matmul(x, w), rtol=1e-13, atol=1e-13
+            ad.head_matmul(x, w).data,
+            np.einsum("bknc,bnoc->bkno", x, w),
+            rtol=1e-13,
+            atol=1e-13,
         )
 
     def test_padding_is_not_counted(self):
         with ad.FlopTrace() as tr:
-            out = ad.matmul(np.ones((1, 32)), np.ones((32, 10)), tiled=True)
-        assert out.shape == (1, 10)
+            out = ad.head_matmul(np.ones((1, 1, 32)), np.ones((1, 10, 32)))
+        assert out.shape == (1, 1, 10)
         assert tr.total == 2 * 10 * 32
 
 

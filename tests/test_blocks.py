@@ -320,6 +320,22 @@ class TestForward:
         )
         _assert_stacked_rows_match_single(tiny_schema, cfg, n_candidates=12)
 
+    @pytest.mark.parametrize("n_user_heads", [0, 2])
+    @pytest.mark.parametrize(
+        "one_column",
+        [{"task_hidden": 1}, {"expansion_ratio": 0.02}],
+        ids=["task_hidden_1", "ffn_hidden_1"],
+    )
+    def test_stacked_rows_match_single_at_one_column(self, tiny_schema, one_column, n_user_heads):
+        # one-column candidate-row products: a one-unit task hidden layer,
+        # and head-wise FFNs whose hidden width rounds to 1 (0.02 * 32)
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=32, n_blocks=2, max_seq_len=6, **one_column,
+            decoupling=mx.DecoupleConfig(n_user_heads > 0, n_user_heads, 4 - n_user_heads),
+        )
+        assert cfg.task_hidden_dim == 1 or cfg.ffn_hidden == 1
+        _assert_stacked_rows_match_single(tiny_schema, cfg, n_candidates=40)
+
     def test_empty_sequence_request(self, tiny_schema, tiny_config):
         rng = np.random.default_rng(6)
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)

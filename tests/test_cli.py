@@ -382,6 +382,23 @@ class TestTrain:
         ])
         assert rc == 3
 
+    def test_resume_on_another_corpus_is_data_error(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out", str(out), "--max-steps", "1"]) == 0
+        other = tmp_path / "other"
+        assert main([
+            "gen", "--out", str(other), "--users", "40", "--items", "30",
+            "--requests", "80", "--candidates", "3", "--seq-len", "16",
+            "--seed", "5", "--no-tune-oracle",
+        ]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rc = main([
+            "train", "--data", str(other), "--out", str(out),
+            "--resume", str(out / "checkpoint.bin"),
+        ])
+        assert rc == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_decouple_flag_threads_through(self, corpus, tmp_path):
         out = tmp_path / "dec"
         rc = main([
