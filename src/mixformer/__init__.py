@@ -56,6 +56,7 @@ from .decouple import (
     compute_shared_user_state,
     forward_decoupled,
     rlb_forward,
+    rlb_forward_batch,
 )
 from .errors import (
     ConfigError,

@@ -10,8 +10,17 @@ chunk, so needs no mask), keeping the sequence keys and values and the
 user rows' mixing inputs; rlb_forward then runs the same stack on the
 item rows for all candidates, reading that cache.
 
-rlb_forward reproduces forward_decoupled exactly (up to float
-reassociation); it never recomputes anything candidate-independent.
+rlb_forward reproduces forward_decoupled bit for bit: every
+candidate-row product runs in fixed-shape row tiles (ad.head_matmul), so
+a row rounds the same alone, among a request's candidates or in a stack.
+It never recomputes anything candidate-independent.
+
+rlb_forward_batch scores a stack of requests the same way, bit for bit
+equal to rlb_forward on each; trainer.evaluate scores a config with user
+heads through it.  It runs block by block, each block's user rows and
+then its item rows, so it holds one block's keys and values of the stack
+at a time, where rlb_forward's two passes (all user rows, then all item
+rows) would hold every block's at once.
 """
 
 from __future__ import annotations
@@ -26,12 +35,14 @@ from .blocks import (
     ParameterStore,
     build_mask,
     forward,
+    mixformer_block,
+    project_actions,
     run_blocks,
     sequence_embedding,
     task_logits,
 )
 from .errors import ConfigError
-from .features import Request, embed_nonseq_batch, split_heads
+from .features import Request, RequestBatch, embed_nonseq_batch, split_heads
 
 
 def allocate_heads(d_ns_user: int, d_ns_item: int, n_heads: int) -> tuple[int, int]:
@@ -142,3 +153,37 @@ def rlb_forward(request: Request, store: ParameterStore) -> np.ndarray:
         user = ad.broadcast_to(ad.Tensor(state.out_user), (1, k, n_u, cfg.head_dim))
         full = ad.concat([user, x], axis=-2)
         return task_logits(full.reshape((k, cfg.model_width)), store).data
+
+
+def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
+    """(B, K, n_tasks) logits of a stacked batch, each request scored as
+    rlb_forward scores it alone: bit for bit, with the same FLOPs.
+
+    One pass over the blocks: each block projects every request's keys
+    and values once, runs the user rows at one row per request, then the
+    item rows at every candidate, reading that block's keys, values and
+    user mixing inputs, and drops them before the next block projects.
+    Running all user rows first, as rlb_forward does, would hold every
+    block's keys and values of the whole stack at once.
+    """
+    cfg, schema = store.config, store.schema
+    _require_decoupling(cfg, "rlb_forward_batch")
+    n, n_u = cfg.n_heads, cfg.user_heads
+    b, k = batch.n_requests, batch.n_candidates
+    proj = store.dense["split.proj"]
+    with ad.no_grad():
+        e_user = embed_nonseq_batch(batch, store.tables, schema, user=n_u > 0, item=False)
+        user = split_heads(e_user, proj, store.layout, (0, n_u))
+        e_item = embed_nonseq_batch(batch, store.tables, schema, user=n_u == 0)
+        x = split_heads(e_item, proj, store.layout, (n_u, n))
+        s = sequence_embedding(batch, store)
+        for l in range(cfg.n_blocks):
+            p = store.block(l)
+            kv = None if s is None else project_actions(s, p, cfg)
+            rec: dict = {}
+            user = mixformer_block(user, p, cfg, kv, rows=(0, n_u), record=rec)
+            x = mixformer_block(x, p, cfg, kv, rows=(n_u, n), mix_prefix=rec.get("mix_src"))
+            del kv, rec
+        user = ad.broadcast_to(user, (b, k, n_u, cfg.head_dim))
+        full = ad.concat([user, x], axis=-2)
+        return task_logits(full.reshape((b, k, cfg.model_width)), store).data

@@ -26,8 +26,10 @@ from .blocks import (
     ParameterStore,
     batched_forward,
     batched_forward_tensor,
+    build_mask,
     init_parameters,
 )
+from .decouple import rlb_forward_batch
 from .errors import ConfigError, MetricError, NumericError
 from .features import Dataset, EmbeddingTable, Request, RequestBatch, stack_requests
 
@@ -281,7 +283,16 @@ def predict(
 def evaluate(
     requests: Sequence[Request], store: ParameterStore, mask=None
 ) -> MetricSummary:
-    return summarize(*predict(requests, lambda batch: batched_forward(batch, store, mask)))
+    """Holdout metrics.  A config with user heads is scored as it is
+    served, by rlb_forward_batch, so mask must be None or its own mask."""
+    cfg = store.config
+    logits_fn = lambda batch: batched_forward(batch, store, mask)
+    if cfg.user_heads:
+        own = build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
+        if mask is not None and not np.array_equal(mask, own):
+            raise ConfigError("a decoupled config is evaluated with its own mask or none")
+        logits_fn = lambda batch: rlb_forward_batch(batch, store)
+    return summarize(*predict(requests, logits_fn))
 
 
 @dataclass

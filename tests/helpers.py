@@ -1,5 +1,6 @@
-"""Shared test utilities: random model shapes and the execution-trace
-FLOP oracle that cross-checks the analytic meter."""
+"""Shared test utilities: random model shapes, the execution-trace
+FLOP oracle that cross-checks the analytic meter, and the batch-scorer
+parity check."""
 
 import dataclasses
 
@@ -46,3 +47,15 @@ def traced_forward_flops(cfg, schema, t, seed=0):
     with ad.FlopTrace() as tr:
         mx.forward(req, 0, store)
     return tr.total
+
+
+def assert_rlb_batch_matches(store, requests):
+    """rlb_forward_batch on a stack equals rlb_forward on each request and
+    masked batched_forward, bit for bit, and traces B times the rlb meter."""
+    batch = mx.stack_requests(requests)
+    with ad.FlopTrace() as trace:
+        out = mx.rlb_forward_batch(batch, store)
+    np.testing.assert_array_equal(out, np.stack([mx.rlb_forward(r, store) for r in requests]))
+    np.testing.assert_array_equal(out, mx.batched_forward(batch, store))
+    meter = mx.count_flops(store.config, store.schema, batch.seq_len, batch.n_candidates, rlb=True)
+    assert trace.total == len(requests) * meter.total

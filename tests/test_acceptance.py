@@ -370,7 +370,7 @@ def test_criterion_11_rlb_wall_clock(tmp_path):
     ])
     assert rc == 0
     lines = csv.read_text().splitlines()
-    k, _, _, speedup, max_diff, savings = lines[2].split(",")
+    k, _, _, speedup, max_diff, savings, _ = lines[2].split(",")
     assert k == "32"
     assert float(max_diff) < 1e-9
     assert float(savings) > 0.0

@@ -15,7 +15,7 @@ from mixformer import autodiff as ad
 from mixformer.trainer import batch_loss
 
 from conftest import random_request
-from helpers import random_config
+from helpers import assert_rlb_batch_matches, random_config
 
 SIGMOID2 = 1.0 / (1.0 + np.exp(-2.0))
 
@@ -271,7 +271,9 @@ class TestResidualStructure:
 
 def _assert_stacked_rows_match_single(schema, cfg, n_candidates):
     # 3 stacked requests and one of a single candidate score each candidate
-    # bit for bit as forward (and rlb_forward, when decoupled) does alone
+    # bit for bit as forward (and rlb_forward, when decoupled) does alone;
+    # when decoupled, rlb_forward_batch scores the stack and a stack of
+    # three one-candidate requests bit for bit as well
     schema = dataclasses.replace(schema, max_seq_len=cfg.max_seq_len)
     rng = np.random.default_rng(21)
     store = mx.init_parameters(schema, cfg, seed=3)
@@ -284,6 +286,10 @@ def _assert_stacked_rows_match_single(schema, cfg, n_candidates):
         np.testing.assert_array_equal(rows, single)
         if cfg.user_heads:
             np.testing.assert_array_equal(mx.rlb_forward(r, store), single)
+    if cfg.user_heads:
+        assert_rlb_batch_matches(store, reqs[:3])
+        ones = [reqs[3]] + [random_request(schema, rng, n_candidates=1) for _ in range(2)]
+        assert_rlb_batch_matches(store, ones)
 
 
 class TestForward:

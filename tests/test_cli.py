@@ -607,6 +607,8 @@ class TestBenchRlb:
         assert float(k1[4]) < 1e-9 and float(k2[4]) < 1e-9  # max |diff|
         assert float(k1[5]) == 0.0  # no shared work to save at K=1
         assert float(k2[5]) > 0.0
+        assert header.endswith(",wall_batched_s")
+        assert float(k1[6]) > 0.0 and float(k2[6]) > 0.0  # masked batched_forward
 
 
 # --------------------------------------------------------------- ablate

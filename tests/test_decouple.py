@@ -12,6 +12,7 @@ from mixformer import autodiff as ad
 from mixformer.autodiff import grad_check
 
 from conftest import random_request
+from helpers import assert_rlb_batch_matches
 
 # the ablations the decoupled path supports (hm_to_sa cannot be decoupled)
 VARIANTS = {
@@ -163,6 +164,8 @@ class TestRlbForward:
             mx.forward_decoupled(req, 0, store)
         with pytest.raises(mx.ConfigError):
             mx.compute_shared_user_state(req, store)
+        with pytest.raises(mx.ConfigError):
+            mx.rlb_forward_batch(mx.stack_requests([req]), store)
 
     @pytest.mark.parametrize("seq_len", [5, 0], ids=["seq", "no_seq"])
     @pytest.mark.parametrize("n_user_heads", [0, 1, 2, 3])
@@ -184,6 +187,20 @@ class TestRlbForward:
         np.testing.assert_allclose(rlb, per, rtol=1e-9)
         meter = mx.count_flops(cfg, schema, seq_len, req.n_candidates, rlb=True)
         assert trace.total == meter.total
+        # the batch scorer, on a stack of this request and two others, and
+        # on a stack of three one-candidate requests
+        def others(n_candidates, count):
+            return [
+                mx.Request(
+                    user_id=2 + j, user_nonseq=[int(rng.integers(11))],
+                    actions=rng.integers(0, 13, (seq_len, 1)),
+                    candidates=rng.integers(0, 13, (n_candidates, 1)),
+                )
+                for j in range(count)
+            ]
+
+        assert_rlb_batch_matches(store, [req, *others(req.n_candidates, 2)])
+        assert_rlb_batch_matches(store, others(1, 3))
 
 
 class TestDecoupledModel:

@@ -267,6 +267,39 @@ class TestLossAndTraining:
             np.testing.assert_array_equal(a.store.dense[n].data, b.store.dense[n].data)
 
 
+class TestEvaluateDecoupled:
+    """A config with user heads is evaluated through rlb_forward_batch."""
+
+    @staticmethod
+    def _setup(schema):
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=8, n_blocks=2, max_seq_len=6,
+            decoupling=mx.DecoupleConfig(True, 2, 2),
+        )
+        rng = np.random.default_rng(17)
+        shapes = [(0, 3), (2, 1), (6, 4), (6, 4), (0, 3), (2, 1), (6, 2), (6, 4)] * 3
+        holdout = [random_request(schema, rng, seq_len=t, n_candidates=k) for t, k in shapes]
+        return mx.init_parameters(schema, cfg, seed=5), holdout
+
+    def test_matches_masked_batched_scores(self, tiny_schema):
+        store, holdout = self._setup(tiny_schema)
+        cfg = store.config
+        mask = mx.build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
+        expected = mx.trainer.summarize(
+            *mx.predict(holdout, lambda batch: mx.batched_forward(batch, store, mask))
+        )
+        assert mx.evaluate(holdout, store) == expected
+        assert mx.evaluate(holdout, store, mask) == expected
+
+    def test_foreign_mask_rejected(self, tiny_schema):
+        store, holdout = self._setup(tiny_schema)
+        cfg = store.config
+        foreign = np.ones((cfg.n_heads, cfg.head_dim)), mx.build_mask(cfg.n_heads, 1, cfg.head_dim)
+        for mask in foreign:
+            with pytest.raises(mx.ConfigError):
+                mx.evaluate(holdout, store, mask)
+
+
 class TestAblationHarness:
     def test_names_cover_all_flags(self):
         import dataclasses as dc
