@@ -20,7 +20,12 @@ equal to rlb_forward on each; trainer.evaluate scores a config with user
 heads through it.  It runs block by block, each block's user rows and
 then its item rows, so it holds one block's keys and values of the stack
 at a time, where rlb_forward's two passes (all user rows, then all item
-rows) would hold every block's at once.
+rows) would hold every block's at once.  It projects those keys and
+values a chunk of whole requests at a time, sized so the sequence FFN's
+hidden activation stays within _KV_CHUNK_ELEMENTS: over a whole stack of
+long sequences that activation, not the keys and values, would set
+evaluate's peak memory.  A request's GEMMs are the same at any chunk
+size, so chunking changes no score and no FLOP.
 """
 
 from __future__ import annotations
@@ -155,6 +160,26 @@ def rlb_forward(request: Request, store: ParameterStore) -> np.ndarray:
         return task_logits(full.reshape((k, cfg.model_width)), store).data
 
 
+# the most sequence-FFN hidden activation elements one key/value projection chunk holds
+_KV_CHUNK_ELEMENTS = 2**16
+
+
+def _project_chunked(
+    s: np.ndarray, p: dict[str, ad.Tensor], cfg: ModelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """project_actions of a (B, t, width) stack, run on chunks of whole
+    requests whose sequence-FFN hidden activation holds at most
+    _KV_CHUNK_ELEMENTS, each written into the stack's keys and values."""
+    b, t = s.shape[:2]
+    c = max(1, _KV_CHUNK_ELEMENTS // (t * cfg.seq_ffn_hidden))
+    keys = np.empty((b, cfg.n_heads, t, cfg.head_dim), s.dtype)
+    values = np.empty_like(keys)
+    for lo in range(0, b, c):
+        k, v = project_actions(s[lo : lo + c], p, cfg)
+        keys[lo : lo + c], values[lo : lo + c] = k.data, v.data
+    return keys, values
+
+
 def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
     """(B, K, n_tasks) logits of a stacked batch, each request scored as
     rlb_forward scores it alone: bit for bit, with the same FLOPs.
@@ -164,7 +189,9 @@ def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
     item rows at every candidate, reading that block's keys, values and
     user mixing inputs, and drops them before the next block projects.
     Running all user rows first, as rlb_forward does, would hold every
-    block's keys and values of the whole stack at once.
+    block's keys and values of the whole stack at once.  The projection
+    runs in chunks of whole requests (_project_chunked), so its sequence
+    FFN never holds the whole stack's hidden activation.
     """
     cfg, schema = store.config, store.schema
     _require_decoupling(cfg, "rlb_forward_batch")
@@ -179,7 +206,7 @@ def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
         s = sequence_embedding(batch, store)
         for l in range(cfg.n_blocks):
             p = store.block(l)
-            kv = None if s is None else project_actions(s, p, cfg)
+            kv = None if s is None else _project_chunked(s.data, p, cfg)
             rec: dict = {}
             user = mixformer_block(user, p, cfg, kv, rows=(0, n_u), record=rec)
             x = mixformer_block(x, p, cfg, kv, rows=(n_u, n), mix_prefix=rec.get("mix_src"))

@@ -258,14 +258,18 @@ def predict(
     """Scores for every impression: (probs, labels, user_ids), each with
     impressions flattened in request order.
 
-    Requests are scored in stacks of one (seq_len, K) shape and about
-    4096 impressions; logits_fn maps a stack to (B, K, n_tasks) logits.
+    Requests are scored in stacks of one (seq_len, K) shape, each of at
+    most max(1, 4096 // max(seq_len, K)) requests, so that neither its
+    sequence rows nor its candidate rows pass 4096 unless one request's
+    do; logits_fn maps a stack to (B, K, n_tasks) logits.
     """
+    if not requests:
+        raise MetricError("predict needs at least one request")
     groups = _shape_groups(requests)
     probs: list = [None] * len(requests)
     for key in sorted(groups):
         idx = groups[key]
-        per = max(1, _PREDICT_IMPRESSIONS // key[1])
+        per = max(1, _PREDICT_IMPRESSIONS // max(key))
         for lo in range(0, len(idx), per):
             sel = idx[lo : lo + per]
             p = expit(logits_fn(stack_requests([requests[i] for i in sel])))

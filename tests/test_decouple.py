@@ -56,6 +56,18 @@ def decoupled_setup(seed, n_heads=4, head_dim=16, n_blocks=2, seq_len=5,
     return schema, cfg, store, req, rng
 
 
+def other_requests(rng, seq_len, n_candidates, count):
+    # requests of decoupled_setup's schema, users 2, 3, ...
+    return [
+        mx.Request(
+            user_id=2 + j, user_nonseq=[int(rng.integers(11))],
+            actions=rng.integers(0, 13, (seq_len, 1)),
+            candidates=rng.integers(0, 13, (n_candidates, 1)),
+        )
+        for j in range(count)
+    ]
+
+
 class TestAllocateHeads:
     def test_proportional_split(self):
         assert mx.allocate_heads(60, 40, 16) == (10, 6)
@@ -189,18 +201,30 @@ class TestRlbForward:
         assert trace.total == meter.total
         # the batch scorer, on a stack of this request and two others, and
         # on a stack of three one-candidate requests
-        def others(n_candidates, count):
-            return [
-                mx.Request(
-                    user_id=2 + j, user_nonseq=[int(rng.integers(11))],
-                    actions=rng.integers(0, 13, (seq_len, 1)),
-                    candidates=rng.integers(0, 13, (n_candidates, 1)),
-                )
-                for j in range(count)
-            ]
+        assert_rlb_batch_matches(
+            store, [req, *other_requests(rng, seq_len, req.n_candidates, 2)]
+        )
+        assert_rlb_batch_matches(store, other_requests(rng, seq_len, 1, 3))
 
-        assert_rlb_batch_matches(store, [req, *others(req.n_candidates, 2)])
-        assert_rlb_batch_matches(store, others(1, 3))
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_batch_projects_in_chunks(self, variant, monkeypatch):
+        # a budget of two requests' sequence-FFN hidden activation projects
+        # a stack of five in chunks of 2, 2 and 1; scores and FLOPs must be
+        # those of one request at a time
+        schema, cfg, store, req, rng = decoupled_setup(13, seq_len=5)
+        cfg = dataclasses.replace(cfg, ablations=mx.AblationFlags(**VARIANTS[variant]))
+        store = mx.init_parameters(schema, cfg, seed=13)
+        monkeypatch.setattr(mx.decouple, "_KV_CHUNK_ELEMENTS", 2 * 5 * cfg.seq_ffn_hidden)
+        chunks = []
+        project = mx.decouple.project_actions
+
+        def spy(s, p, c):
+            chunks.append(len(s))
+            return project(s, p, c)
+
+        monkeypatch.setattr(mx.decouple, "project_actions", spy)
+        assert_rlb_batch_matches(store, [req, *other_requests(rng, 5, req.n_candidates, 4)])
+        assert chunks == [2, 2, 1] * cfg.n_blocks
 
 
 class TestDecoupledModel:

@@ -1,5 +1,7 @@
 """Optimizers, batch planning, metrics, and training-loop behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,16 +236,26 @@ class TestLossAndTraining:
         res = mx.fit(ds, tiny_config, seed=0, epochs=50, batch_size=6, max_steps=7)
         assert len(res.losses) == 7
 
-    def test_predict_orders_by_request(self, tiny_schema, tiny_config):
+    def test_predict_orders_by_request(self, tiny_schema, tiny_config, monkeypatch):
         # grouped batching internally, but output order must be the
-        # caller's request order regardless of shape grouping
+        # caller's request order regardless of shape grouping; a stack holds
+        # at most budget // max(seq_len, K) requests, so 6 // 3 = 2 of the
+        # (3, 2) group where 6 // K would stack 3
         rng = np.random.default_rng(5)
-        reqs = [random_request(tiny_schema, rng, seq_len=3, n_candidates=2),
-                random_request(tiny_schema, rng, seq_len=5, n_candidates=3),
-                random_request(tiny_schema, rng, seq_len=3, n_candidates=2)]
+        shapes = [(3, 2), (5, 3), (3, 2), (1, 4), (3, 2), (3, 2), (1, 4), (3, 2)]
+        reqs = [random_request(tiny_schema, rng, seq_len=t, n_candidates=k) for t, k in shapes]
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
-        probs, labels, users = mx.predict(reqs, lambda batch: mx.batched_forward(batch, store))
-        assert probs.shape == (7, 2)
+        monkeypatch.setattr(mx.trainer, "_PREDICT_IMPRESSIONS", 6)
+        stacks = []
+
+        def logits_fn(batch):
+            stacks.append((batch.seq_len, batch.n_candidates, batch.n_requests))
+            return mx.batched_forward(batch, store)
+
+        probs, labels, users = mx.predict(reqs, logits_fn)
+        assert sum(b for _, _, b in stacks) == len(reqs)
+        assert all(b <= max(1, 6 // max(t, k)) for t, k, b in stacks)
+        assert probs.shape == (sum(k for _, k in shapes), 2)
         expected_users = np.concatenate([
             np.full(r.n_candidates, r.user_id) for r in reqs
         ])
@@ -257,6 +269,13 @@ class TestLossAndTraining:
                 rtol=1e-12,
             )
             start += r.n_candidates
+
+    def test_predict_rejects_no_requests(self, tiny_schema, tiny_config):
+        store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
+        with pytest.raises(mx.MetricError):
+            mx.predict([], lambda batch: mx.batched_forward(batch, store))
+        with pytest.raises(mx.MetricError):
+            mx.evaluate([], store)
 
     def test_training_is_deterministic(self, tiny_schema, tiny_config):
         ds = small_dataset(tiny_schema, n=12, seed=7)
@@ -290,6 +309,32 @@ class TestEvaluateDecoupled:
         )
         assert mx.evaluate(holdout, store) == expected
         assert mx.evaluate(holdout, store, mask) == expected
+
+    def test_long_sequence_working_set_is_bounded(self):
+        # 32 requests of 256 actions and 16 candidates at desk-small: the
+        # stack's keys and values take 16 MiB, while its sequence-FFN hidden
+        # activation, were it projected in one piece, would take 16 MiB per
+        # array and lift the peak past 64 MiB
+        t = 256
+        spec = mx.GeneratorSpec(
+            n_users=200, n_items=60, n_requests=32, candidates_per_request=16,
+            seq_len_min=t, seq_len_max=t, seed=0,
+        )
+        data = mx.generate(spec)
+        schema = data.dataset.schema
+        n_u, n_g = mx.allocate_heads(schema.d_ns_user, schema.d_ns_item, 4)
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=32, n_blocks=2, max_seq_len=t,
+            decoupling=mx.DecoupleConfig(True, n_u, n_g),
+        )
+        store = mx.init_parameters(schema, cfg, seed=0)
+        tracemalloc.start()
+        try:
+            mx.evaluate(data.dataset.requests, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_foreign_mask_rejected(self, tiny_schema):
         store, holdout = self._setup(tiny_schema)
