@@ -11,11 +11,12 @@ Default normalization is rms_norm applied before each sublayer; the
 post_ln ablation switches to gain-only layer_norm applied after the
 residual add.
 
-run_blocks is the one block stack.  It runs on head rows [lo, hi) of a
-(B, K, rows, head_dim) state, taking the mixing inputs of rows [0, lo)
-from a cache, so the same code serves batched training (all rows),
-single-candidate scoring (B = K = 1) and both halves of decoupled
-serving (user rows once per request, item rows per candidate).
+batched_forward_tensor runs the block stack on all head rows of a
+(B, K, n_heads, head_dim) state, so the same code serves batched
+training and single-candidate scoring (B = K = 1).  mixformer_block can
+also run head rows [lo, hi) alone, taking the mixing inputs of rows
+[0, lo) from a cache: decoupled serving (decouple.rlb_forward_batch)
+runs the user rows once per request and the item rows per candidate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import BinaryIO, Sequence, get_args, get_type_hints
+from typing import BinaryIO, get_args, get_type_hints
 
 import numpy as np
 
@@ -429,8 +430,10 @@ def query_mixer(
     p is one block's parameters, as ParameterStore.block gives them.
     mask, when given, multiplies the mixing output of all heads.  With
     rows = (lo, hi), x holds head rows [lo, hi) only, mixing reads rows
-    [0, lo) from mix_prefix (see run_blocks) and no mask applies.  record,
-    when given, receives the mixing inputs under "mix_src".
+    [0, lo) from mix_prefix (their mixing inputs) and rows from hi on as
+    zeros, and no mask applies: the user rows [0, n_user_heads) so read no
+    item chunk.  record, when given, receives the mixing inputs under
+    "mix_src".
     """
     x = ad.as_tensor(x)
     flags = cfg.ablations
@@ -534,42 +537,6 @@ def mixformer_block(
     return output_fusion(z, p, cfg, rows)
 
 
-def run_blocks(
-    x: ad.Tensor,
-    store: ParameterStore,
-    seq: ad.Tensor | None = None,
-    kv: Sequence[tuple] | None = None,
-    mask: np.ndarray | None = None,
-    rows: tuple[int, int] | None = None,
-    mix_prefix: Sequence | None = None,
-    record: list[dict] | None = None,
-) -> ad.Tensor:
-    """The block stack, on head rows [lo, hi) of a (B, K, hi - lo,
-    head_dim) state; rows=None runs all heads.
-
-    Keys and values come from kv, one pair per block, or are projected
-    from seq (B, t, model_width) once per request and block and shared by
-    its candidates, which is exact because they never depend on the
-    candidate.  Head mixing reads rows [0, lo) from mix_prefix (their
-    mixing inputs, per block) and rows from hi on as zeros, so the user
-    rows [0, n_user_heads) read no item chunk and need no decoupling mask.
-    A record list gets one dict per block: mixformer_block's record plus
-    the block output "out".
-    """
-    cfg = store.config
-    for l in range(cfg.n_blocks):
-        p = store.block(l)
-        layer_kv = kv[l] if kv is not None else None
-        if seq is not None:
-            layer_kv = project_actions(seq, p, cfg)
-        rec = None if record is None else {}
-        prefix = None if mix_prefix is None else mix_prefix[l]
-        x = mixformer_block(x, p, cfg, layer_kv, mask, rows, prefix, rec)
-        if rec is not None:
-            record.append({**rec, "out": x})
-    return x
-
-
 def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
     """Per-task MLP heads on the flattened stack output: (..., n_tasks).
 
@@ -618,7 +585,12 @@ def batched_forward_tensor(
     b, k = batch.n_requests, batch.n_candidates
     e = embed_nonseq_batch(batch, store.tables, schema)
     x = split_heads(e, store.dense["split.proj"], store.layout)
-    x = run_blocks(x, store, seq=sequence_embedding(batch, store), mask=mask)
+    s = sequence_embedding(batch, store)
+    for l in range(cfg.n_blocks):
+        p = store.block(l)
+        # keys and values depend on the request only, so its candidates share them
+        kv = None if s is None else project_actions(s, p, cfg)
+        x = mixformer_block(x, p, cfg, kv, mask)
     return task_logits(x.reshape((b, k, cfg.model_width)), store)
 
 

@@ -4,28 +4,24 @@ Heads are partitioned into a user side and an item side.  A binary mask
 on the head-mixing output, applied whenever the config decouples, stops
 user heads from ever reading item chunks, so rows 0..n_user_heads-1 of
 the state are functions of the user and sequence alone.  That makes
-request-level batching possible: compute_shared_user_state runs the
-block stack on the user rows once per request (a row range reads no item
-chunk, so needs no mask), keeping the sequence keys and values and the
-user rows' mixing inputs; rlb_forward then runs the same stack on the
-item rows for all candidates, reading that cache.
+request-level batching possible: rlb_forward_batch runs each block on
+the user rows once per request (a row range reads no item chunk, so
+needs no mask), then on the item rows of every candidate, which read
+the block's sequence keys and values and the user rows' mixing inputs.
+rlb_forward is rlb_forward_batch on one request, and
+compute_shared_user_state keeps the user half of the same loop.
 
-rlb_forward reproduces forward_decoupled bit for bit: every
+rlb_forward_batch reproduces forward_decoupled bit for bit: every
 candidate-row product runs in fixed-shape row tiles (ad.head_matmul), so
 a row rounds the same alone, among a request's candidates or in a stack.
-It never recomputes anything candidate-independent.
-
-rlb_forward_batch scores a stack of requests the same way, bit for bit
-equal to rlb_forward on each; trainer.evaluate scores a config with user
-heads through it.  It runs block by block, each block's user rows and
-then its item rows, so it holds one block's keys and values of the stack
-at a time, where rlb_forward's two passes (all user rows, then all item
-rows) would hold every block's at once.  It projects those keys and
-values a chunk of whole requests at a time, sized so the sequence FFN's
-hidden activation stays within _KV_CHUNK_ELEMENTS: over a whole stack of
-long sequences that activation, not the keys and values, would set
-evaluate's peak memory.  A request's GEMMs are the same at any chunk
-size, so chunking changes no score and no FLOP.
+It never recomputes anything candidate-independent.  trainer.evaluate
+scores a config with user heads through it.  It holds one block's keys
+and values of the stack at a time, and projects them a chunk of whole
+requests at a time, sized so the sequence FFN's hidden activation stays
+within _KV_CHUNK_ELEMENTS: over a whole stack of long sequences that
+activation, not the keys and values, would set evaluate's peak memory.
+A request's GEMMs are the same at any chunk size, so chunking changes
+no score and no FLOP.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from .blocks import (
     forward,
     mixformer_block,
     project_actions,
-    run_blocks,
     sequence_embedding,
     task_logits,
 )
@@ -104,9 +99,9 @@ class SharedUserState:
     out_user: np.ndarray  # user head rows after the last block
 
 
-def _one(t: ad.Tensor | None, ndim: int = 2) -> np.ndarray | None:
-    # the last ndim axes of a tensor of one request and at most one candidate
-    return None if t is None else t.data.reshape(t.shape[-ndim:])
+def _one(t: ad.Tensor | np.ndarray | None, ndim: int = 2) -> np.ndarray | None:
+    # the last ndim axes of an array or tensor of one request and at most one candidate
+    return None if t is None else ad.as_tensor(t).data.reshape(t.shape[-ndim:])
 
 
 def compute_shared_user_state(request: Request, store: ParameterStore) -> SharedUserState:
@@ -123,9 +118,7 @@ def compute_shared_user_state(request: Request, store: ParameterStore) -> Shared
         e_user = embed_nonseq_batch(batch, store.tables, schema, user=n_u > 0, item=False)
         x0 = split_heads(e_user, store.dense["split.proj"], store.layout, (0, n_u))
         s = sequence_embedding(batch, store)
-        rec: list[dict] = []
-        # rows [0, n_u) read item rows as zeros, which decouples them unmasked
-        out = run_blocks(x0, store, seq=s, rows=(0, n_u), record=rec)
+        rec = [r for _, _, r in _user_blocks(x0, s, store)]
     # LayerUserState's field order, with each field's number of axes
     keys = (("mix_src", 2), ("keys", 3), ("values", 3), ("q", 2), ("z", 2), ("out", 2))
     return SharedUserState(
@@ -133,7 +126,7 @@ def compute_shared_user_state(request: Request, store: ParameterStore) -> Shared
         x0_user=_one(x0),
         seq=None if s is None else s.data[0],
         layers=[LayerUserState(*(_one(r.get(k), d) for k, d in keys)) for r in rec],
-        out_user=_one(out),
+        out_user=_one(rec[-1]["out"]),
     )
 
 
@@ -141,23 +134,12 @@ def rlb_forward(request: Request, store: ParameterStore) -> np.ndarray:
     """Score every candidate of a request with user work done once.
 
     Returns (n_candidates, n_tasks) logits, numerically equal to calling
-    forward_decoupled on each candidate.
+    forward_decoupled on each candidate: rlb_forward_batch on a batch of
+    this one request.
     """
-    cfg, schema = store.config, store.schema
-    state = compute_shared_user_state(request, store)
-    n, n_u, k = cfg.n_heads, cfg.user_heads, request.n_candidates
-    with ad.no_grad():
-        e_item = embed_nonseq_batch(request.as_batch(), store.tables, schema, user=n_u == 0)
-        x = split_heads(e_item, store.dense["split.proj"], store.layout, (n_u, n))
-        # the mask leaves item rows whole, so they run without it
-        x = run_blocks(
-            x, store, rows=(n_u, n),
-            kv=[(layer.keys, layer.values) for layer in state.layers],
-            mix_prefix=[layer.mix_src_user for layer in state.layers],
-        )
-        user = ad.broadcast_to(ad.Tensor(state.out_user), (1, k, n_u, cfg.head_dim))
-        full = ad.concat([user, x], axis=-2)
-        return task_logits(full.reshape((k, cfg.model_width)), store).data
+    _require_decoupling(store.config, "rlb_forward")
+    request.validate(store.schema)
+    return rlb_forward_batch(request.as_batch(), store)[0]
 
 
 # the most sequence-FFN hidden activation elements one key/value projection chunk holds
@@ -180,18 +162,37 @@ def _project_chunked(
     return keys, values
 
 
+def _user_blocks(user: ad.Tensor, s: ad.Tensor | None, store: ParameterStore):
+    """The user half of the decoupled block loop, block by block.
+
+    Each block projects every request's keys and values (_project_chunked),
+    runs the user rows [0, n_user_heads) of the (B, 1, n_user_heads,
+    head_dim) state through it, and yields the block's parameters, its
+    (keys, values) or None, and the user rows' record: mixformer_block's
+    plus the block output "out".  The block's keys and values are dropped
+    before the next block projects its own.
+    """
+    cfg = store.config
+    for l in range(cfg.n_blocks):
+        p = store.block(l)
+        kv = None if s is None else _project_chunked(s.data, p, cfg)
+        rec: dict = {}
+        user = mixformer_block(user, p, cfg, kv, rows=(0, cfg.user_heads), record=rec)
+        rec["out"] = user
+        yield p, kv, rec
+        del kv, rec
+
+
 def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
     """(B, K, n_tasks) logits of a stacked batch, each request scored as
-    rlb_forward scores it alone: bit for bit, with the same FLOPs.
+    forward_decoupled scores each of its candidates: bit for bit, with
+    user work done once per request.
 
-    One pass over the blocks: each block projects every request's keys
-    and values once, runs the user rows at one row per request, then the
-    item rows at every candidate, reading that block's keys, values and
-    user mixing inputs, and drops them before the next block projects.
-    Running all user rows first, as rlb_forward does, would hold every
-    block's keys and values of the whole stack at once.  The projection
-    runs in chunks of whole requests (_project_chunked), so its sequence
-    FFN never holds the whole stack's hidden activation.
+    One pass over the blocks (_user_blocks): each block projects every
+    request's keys and values once, runs the user rows at one row per
+    request, then the item rows at every candidate, reading that block's
+    keys, values and user mixing inputs, so only one block's keys and
+    values of the stack are held at a time.
     """
     cfg, schema = store.config, store.schema
     _require_decoupling(cfg, "rlb_forward_batch")
@@ -203,13 +204,9 @@ def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
         user = split_heads(e_user, proj, store.layout, (0, n_u))
         e_item = embed_nonseq_batch(batch, store.tables, schema, user=n_u == 0)
         x = split_heads(e_item, proj, store.layout, (n_u, n))
-        s = sequence_embedding(batch, store)
-        for l in range(cfg.n_blocks):
-            p = store.block(l)
-            kv = None if s is None else _project_chunked(s.data, p, cfg)
-            rec: dict = {}
-            user = mixformer_block(user, p, cfg, kv, rows=(0, n_u), record=rec)
+        for p, kv, rec in _user_blocks(user, sequence_embedding(batch, store), store):
             x = mixformer_block(x, p, cfg, kv, rows=(n_u, n), mix_prefix=rec.get("mix_src"))
+            user = rec["out"]
             del kv, rec
         user = ad.broadcast_to(user, (b, k, n_u, cfg.head_dim))
         full = ad.concat([user, x], axis=-2)

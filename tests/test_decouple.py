@@ -199,12 +199,35 @@ class TestRlbForward:
         np.testing.assert_allclose(rlb, per, rtol=1e-9)
         meter = mx.count_flops(cfg, schema, seq_len, req.n_candidates, rlb=True)
         assert trace.total == meter.total
+        # the user half alone traces the meter's user side
+        with ad.FlopTrace() as user_trace:
+            mx.compute_shared_user_state(req, store)
+        assert user_trace.total == meter.user_total
         # the batch scorer, on a stack of this request and two others, and
         # on a stack of three one-candidate requests
         assert_rlb_batch_matches(
             store, [req, *other_requests(rng, seq_len, req.n_candidates, 2)]
         )
         assert_rlb_batch_matches(store, other_requests(rng, seq_len, 1, 3))
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"actions": np.zeros((8, 1), dtype=np.int64)}, mx.DataError),
+            ({"user_nonseq": np.array([1, 2])}, mx.DataError),
+            ({"candidates": np.array([[3], [13]])}, mx.VocabError),
+        ],
+        ids=["seq_too_long", "user_nonseq_length", "candidate_id"],
+    )
+    def test_bad_request_raises_typed_error(self, change, error):
+        # a sequence 3 past max_seq_len, a wrong user_nonseq length and an
+        # out-of-range candidate id never reach the scorer
+        schema, cfg, store, req, rng = decoupled_setup(17, seq_len=5)
+        bad = dataclasses.replace(req, **change)
+        with pytest.raises(error):
+            mx.rlb_forward(bad, store)
+        with pytest.raises(error):
+            mx.compute_shared_user_state(bad, store)
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_batch_projects_in_chunks(self, variant, monkeypatch):
@@ -224,7 +247,8 @@ class TestRlbForward:
 
         monkeypatch.setattr(mx.decouple, "project_actions", spy)
         assert_rlb_batch_matches(store, [req, *other_requests(rng, 5, req.n_candidates, 4)])
-        assert chunks == [2, 2, 1] * cfg.n_blocks
+        # then rlb_forward scores each of the five alone, one chunk per block
+        assert chunks == [2, 2, 1] * cfg.n_blocks + [1] * (5 * cfg.n_blocks)
 
 
 class TestDecoupledModel:
