@@ -13,10 +13,10 @@ residual add.
 
 batched_forward_tensor runs the block stack on all head rows of a
 (B, K, n_heads, head_dim) state, so the same code serves batched
-training and single-candidate scoring (B = K = 1).  mixformer_block can
-also run head rows [lo, hi) alone, taking the mixing inputs of rows
-[0, lo) from a cache: decoupled serving (decouple.rlb_forward_batch)
-runs the user rows once per request and the item rows per candidate.
+training and single-candidate scoring (B = K = 1).  mixformer_block
+also runs head rows [lo, hi) alone, as its inputs' shapes say: decoupled
+serving (decouple.rlb_forward_batch) runs the user rows once per request
+and the item rows per candidate.  The config alone decides the mask.
 """
 
 from __future__ import annotations
@@ -83,6 +83,13 @@ def build_mask(n_heads: int, n_user_heads: int, head_dim: int) -> np.ndarray:
     mask = np.ones((n_heads, head_dim))
     mask[:n_user_heads, n_user_heads * chunk :] = 0.0
     return mask
+
+
+def check_mask(cfg: ModelConfig, mask: np.ndarray | None) -> None:
+    """A mask argument must be None or the config's own (all ones without user heads)."""
+    own = build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
+    if mask is not None and not np.array_equal(mask, own):
+        raise ConfigError("a model is scored with its config's own mixing mask or none")
 
 
 @dataclass(frozen=True)
@@ -241,11 +248,16 @@ class ParameterStore:
     def n_dense_params(self) -> int:
         return sum(t.size for t in self.dense.values())
 
-    def block(self, index: int) -> dict[str, ad.Tensor]:
+    def block(self, index: int, heads: tuple[int, int] | None = None) -> dict[str, ad.Tensor]:
         """Block index's tensors, keyed by their parameter_shapes names
         without the 'block<index>.' prefix; the shared sequence FFN's
-        'seq_shared.*' appear as 'seq.*'."""
-        return {key: self.dense[name] for key, name in self._block_names[index].items()}
+        'seq_shared.*' appear as 'seq.*'.  heads = (lo, hi) cuts each
+        per-head stack to heads [lo, hi); a shared one (first axis 1) stays whole."""
+        p = {key: self.dense[name] for key, name in self._block_names[index].items()}
+        if heads is not None:
+            n = self.config.n_heads
+            p = {k: w[slice(*heads)] if w.ndim == 3 and w.shape[0] == n else w for k, w in p.items()}
+        return p
 
 
 def glorot_uniform(
@@ -391,17 +403,16 @@ def _single_head_sa(x: ad.Tensor, p: dict[str, ad.Tensor], cfg: ModelConfig) -> 
     return ad.matmul(ad.softmax(scores), v)
 
 
-def _head_rows(w: ad.Tensor, rows: tuple[int, int] | None) -> ad.Tensor:
-    # per-head weight stacks of rows [lo, hi); a shared single stack broadcasts
-    return w if rows is None or w.shape[0] == 1 else w[rows[0] : rows[1]]
-
-
-def _mix_rows(xn: ad.Tensor, n: int, rows: tuple[int, int] | None, prefix) -> ad.Tensor:
-    """Rows [lo, hi) of head mixing.  xn holds the mixing inputs of those
-    rows, prefix those of rows [0, lo); rows from hi on count as zeros."""
-    if rows is None:
-        return head_mixing(xn)
-    lo, hi = rows
+def _mix_rows(xn: ad.Tensor, cfg: ModelConfig, prefix) -> ad.Tensor:
+    """Rows [lo, hi) of head mixing: xn holds their mixing inputs, prefix
+    (None for lo = 0) those of rows [0, lo), and rows from hi on count as zeros."""
+    lo = 0 if prefix is None else prefix.shape[-2]
+    n, hi = cfg.n_heads, lo + xn.shape[-2]
+    if (lo, hi) == (0, n):
+        out = head_mixing(xn)
+        if cfg.user_heads:
+            out = ad.mul(out, ad.Tensor(build_mask(n, cfg.user_heads, cfg.head_dim)))
+        return out
     lead, dim = xn.shape[:-2], xn.shape[-1]
     c = dim // n
     # chunks [lo, hi) of every source row, as (..., n, hi - lo, c)
@@ -420,20 +431,16 @@ def query_mixer(
     x,
     p: dict[str, ad.Tensor],
     cfg: ModelConfig,
-    mask: np.ndarray | None = None,
-    rows: tuple[int, int] | None = None,
     mix_prefix=None,
     record: dict | None = None,
 ) -> ad.Tensor:
     """Head mixing then per-head gated FFNs, each with its own residual.
 
-    p is one block's parameters, as ParameterStore.block gives them.
-    mask, when given, multiplies the mixing output of all heads.  With
-    rows = (lo, hi), x holds head rows [lo, hi) only, mixing reads rows
-    [0, lo) from mix_prefix (their mixing inputs) and rows from hi on as
-    zeros, and no mask applies: the user rows [0, n_user_heads) so read no
-    item chunk.  record, when given, receives the mixing inputs under
-    "mix_src".
+    p is one block's parameters, as ParameterStore.block gives them for
+    x's heads.  x holds head rows [lo, hi), lo the rows of mix_prefix (the
+    mixing inputs of rows [0, lo)), as _mix_rows mixes them: the user rows
+    [0, n_user_heads) so read no item chunk.  record, when given, receives
+    the mixing inputs under "mix_src".
     """
     x = ad.as_tensor(x)
     flags = cfg.ablations
@@ -445,13 +452,12 @@ def query_mixer(
             def mix(xn: ad.Tensor) -> ad.Tensor:
                 if record is not None:
                     record["mix_src"] = xn
-                out = _mix_rows(xn, cfg.n_heads, rows, mix_prefix)
-                return out if mask is None else ad.mul(out, ad.Tensor(mask))
+                return _mix_rows(xn, cfg, mix_prefix)
 
         x = _sublayer(x, p["qm.norm"], cfg, mix)
     if flags.wo_qm_ffn:
         return x
-    ffn = [_head_rows(p[f"qm.ffn.{w}"], rows) for w in ("gate", "up", "down")]
+    ffn = [p[f"qm.ffn.{w}"] for w in ("gate", "up", "down")]
     return _sublayer(x, p["qm.norm"], cfg, lambda xn: _headwise_ffn(xn, *ffn))
 
 
@@ -500,12 +506,10 @@ def cross_attention(q, keys, values) -> ad.Tensor:
     return ad.add(ad.head_matmul(ad.softmax(scores), ad.swapaxes(values, -1, -2)), q)
 
 
-def output_fusion(
-    z, p: dict[str, ad.Tensor], cfg: ModelConfig, rows: tuple[int, int] | None = None
-) -> ad.Tensor:
+def output_fusion(z, p: dict[str, ad.Tensor], cfg: ModelConfig) -> ad.Tensor:
     """Per-head gated FFNs with residual on the attended state."""
     z = ad.as_tensor(z)
-    ffn = [_head_rows(p[f"of.ffn.{w}"], rows) for w in ("gate", "up", "down")]
+    ffn = [p[f"of.ffn.{w}"] for w in ("gate", "up", "down")]
     return _sublayer(z, p["of.norm"], cfg, lambda zn: _headwise_ffn(zn, *ffn))
 
 
@@ -514,27 +518,19 @@ def mixformer_block(
     p: dict[str, ad.Tensor],
     cfg: ModelConfig,
     kv: tuple | None = None,
-    mask: np.ndarray | None = None,
-    rows: tuple[int, int] | None = None,
     mix_prefix=None,
     record: dict | None = None,
 ) -> ad.Tensor:
-    """One full block.  kv is the (keys, values) pair of all heads, as
-    cross_attention takes them, or None for an empty sequence.  rows and
-    mix_prefix are as for query_mixer; record, when given, also receives
-    "keys", "values", the query-mixer output "q" and attention output "z".
+    """One full block.  p and kv, the (keys, values) pair as
+    cross_attention takes it or None for an empty sequence, are those of
+    x's heads.  mix_prefix is as for query_mixer; record, when given, also
+    receives the query-mixer output "q" and attention output "z".
     """
-    keys, values = kv if kv is not None else (None, None)
-    if record is not None:
-        record.update(keys=keys, values=values)
-    q = query_mixer(x, p, cfg, mask, rows, mix_prefix, record)
-    if keys is not None and rows is not None:
-        keys = ad.as_tensor(keys)[..., rows[0] : rows[1], :, :]
-        values = ad.as_tensor(values)[..., rows[0] : rows[1], :, :]
-    z = cross_attention(q, keys, values)
+    q = query_mixer(x, p, cfg, mix_prefix, record)
+    z = cross_attention(q, *(kv if kv is not None else (None, None)))
     if record is not None:
         record.update(q=q, z=z)
-    return output_fusion(z, p, cfg, rows)
+    return output_fusion(z, p, cfg)
 
 
 def task_logits(flat: ad.Tensor, store: ParameterStore) -> ad.Tensor:
@@ -577,11 +573,10 @@ def batched_forward_tensor(
     batch: RequestBatch, store: ParameterStore, mask: np.ndarray | None = None
 ) -> ad.Tensor:
     """(B, K, n_tasks) logits for a stacked batch; differentiable w.r.t.
-    all parameters.  With no mask given, a decoupled config applies its
-    own decoupling mask."""
+    all parameters.  A config with user heads masks its own head mixing;
+    mask, when given, must be that mask (check_mask)."""
     cfg, schema = store.config, store.schema
-    if mask is None and cfg.user_heads:
-        mask = build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
+    check_mask(cfg, mask)
     b, k = batch.n_requests, batch.n_candidates
     e = embed_nonseq_batch(batch, store.tables, schema)
     x = split_heads(e, store.dense["split.proj"], store.layout)
@@ -590,7 +585,7 @@ def batched_forward_tensor(
         p = store.block(l)
         # keys and values depend on the request only, so its candidates share them
         kv = None if s is None else project_actions(s, p, cfg)
-        x = mixformer_block(x, p, cfg, kv, mask)
+        x = mixformer_block(x, p, cfg, kv)
     return task_logits(x.reshape((b, k, cfg.model_width)), store)
 
 

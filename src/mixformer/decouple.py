@@ -6,10 +6,10 @@ user heads from ever reading item chunks, so rows 0..n_user_heads-1 of
 the state are functions of the user and sequence alone.  That makes
 request-level batching possible: rlb_forward_batch runs each block on
 the user rows once per request (a row range reads no item chunk, so
-needs no mask), then on the item rows of every candidate, which read
-the block's sequence keys and values and the user rows' mixing inputs.
-rlb_forward is rlb_forward_batch on one request, and
-compute_shared_user_state keeps the user half of the same loop.
+needs no mask), then on the item rows of every candidate, each pass on
+its heads' weights, keys and values, the item rows also on the user
+rows' mixing inputs.  rlb_forward is rlb_forward_batch on one request,
+and compute_shared_user_state keeps the user half of the same loop.
 
 rlb_forward_batch reproduces forward_decoupled bit for bit: every
 candidate-row product runs in fixed-shape row tiles (ad.head_matmul), so
@@ -167,20 +167,21 @@ def _user_blocks(user: ad.Tensor, s: ad.Tensor | None, store: ParameterStore):
 
     Each block projects every request's keys and values (_project_chunked),
     runs the user rows [0, n_user_heads) of the (B, 1, n_user_heads,
-    head_dim) state through it, and yields the block's parameters, its
-    (keys, values) or None, and the user rows' record: mixformer_block's
-    plus the block output "out".  The block's keys and values are dropped
-    before the next block projects its own.
+    head_dim) state through it, and yields the block's index, its (keys,
+    values) or None, and the user rows' record: mixformer_block's plus
+    those "keys", "values" and the block output "out".  The block's keys
+    and values are dropped before the next block projects its own.
     """
     cfg = store.config
+    n_u = cfg.user_heads
     for l in range(cfg.n_blocks):
-        p = store.block(l)
-        kv = None if s is None else _project_chunked(s.data, p, cfg)
-        rec: dict = {}
-        user = mixformer_block(user, p, cfg, kv, rows=(0, cfg.user_heads), record=rec)
+        kv = None if s is None else _project_chunked(s.data, store.block(l), cfg)
+        rec: dict = {} if kv is None else dict(zip(("keys", "values"), kv))
+        user_kv = kv and tuple(a[:, :n_u] for a in kv)
+        user = mixformer_block(user, store.block(l, (0, n_u)), cfg, user_kv, record=rec)
         rec["out"] = user
-        yield p, kv, rec
-        del kv, rec
+        yield l, kv, rec
+        del kv, rec, user_kv
 
 
 def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
@@ -204,8 +205,9 @@ def rlb_forward_batch(batch: RequestBatch, store: ParameterStore) -> np.ndarray:
         user = split_heads(e_user, proj, store.layout, (0, n_u))
         e_item = embed_nonseq_batch(batch, store.tables, schema, user=n_u == 0)
         x = split_heads(e_item, proj, store.layout, (n_u, n))
-        for p, kv, rec in _user_blocks(user, sequence_embedding(batch, store), store):
-            x = mixformer_block(x, p, cfg, kv, rows=(n_u, n), mix_prefix=rec.get("mix_src"))
+        for l, kv, rec in _user_blocks(user, sequence_embedding(batch, store), store):
+            kv = kv and tuple(a[:, n_u:] for a in kv)
+            x = mixformer_block(x, store.block(l, (n_u, n)), cfg, kv, rec.get("mix_src"))
             user = rec["out"]
             del kv, rec
         user = ad.broadcast_to(user, (b, k, n_u, cfg.head_dim))

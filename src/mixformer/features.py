@@ -201,15 +201,17 @@ class Request:
             or self.candidates.shape[1] != len(schema.item_fields())
         ):
             raise DataError("candidates must be (K >= 1, n_item_fields)")
+        y = self.labels
+        if y is not None and (y.ndim != 2 or len(y) != self.n_candidates or (y * (1 - y)).any()):
+            raise DataError("labels must be (K, n_tasks), each 0 or 1")
         for ids, fields in (
             (self.user_nonseq.reshape(1, -1), schema.user_fields()),
             (self.candidates, schema.item_fields()),
             (self.actions, schema.action_fields),
         ):
-            for j, f in enumerate(fields):
-                col = ids[:, j]
-                if col.size and (col.min() < 0 or col.max() >= f.vocab_size):
-                    raise VocabError(f"field {f.name}: id out of range")
+            bad = (ids < 0) | (ids >= [f.vocab_size for f in fields])
+            if bad.any():
+                raise VocabError(f"field {fields[bad.any(axis=0).argmax()].name}: id out of range")
 
 
 @dataclass

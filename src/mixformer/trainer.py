@@ -26,7 +26,7 @@ from .blocks import (
     ParameterStore,
     batched_forward,
     batched_forward_tensor,
-    build_mask,
+    check_mask,
     init_parameters,
 )
 from .decouple import rlb_forward_batch
@@ -287,16 +287,16 @@ def predict(
 def evaluate(
     requests: Sequence[Request], store: ParameterStore, mask=None
 ) -> MetricSummary:
-    """Holdout metrics.  A config with user heads is scored as it is
-    served, by rlb_forward_batch, so mask must be None or its own mask."""
+    """Holdout metrics of valid, labelled requests; mask must be None or the config's
+    own.  A config with user heads is scored as it is served, by rlb_forward_batch."""
     cfg = store.config
-    logits_fn = lambda batch: batched_forward(batch, store, mask)
-    if cfg.user_heads:
-        own = build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
-        if mask is not None and not np.array_equal(mask, own):
-            raise ConfigError("a decoupled config is evaluated with its own mask or none")
-        logits_fn = lambda batch: rlb_forward_batch(batch, store)
-    return summarize(*predict(requests, logits_fn))
+    check_mask(cfg, mask)
+    for r in requests:
+        r.validate(store.schema)
+        if r.labels is None or r.labels.shape[1] != cfg.n_tasks:
+            raise MetricError(f"evaluate needs (K, {cfg.n_tasks}) labels on every request")
+    score = rlb_forward_batch if cfg.user_heads else batched_forward
+    return summarize(*predict(requests, lambda batch: score(batch, store)))
 
 
 @dataclass

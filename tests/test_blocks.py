@@ -189,6 +189,28 @@ class TestParameterStore:
         )
         assert base.block(0)["of.ffn.gate"].shape[0] == 2
 
+    @pytest.mark.parametrize("shared_of_ffn", [False, True], ids=["per_head", "shared_of_ffn"])
+    def test_block_cut_to_heads(self, tiny_schema, shared_of_ffn):
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=8, n_blocks=2, max_seq_len=6,
+            ablations=mx.AblationFlags(shared_of_ffn=shared_of_ffn),
+        )
+        store = mx.init_parameters(tiny_schema, cfg, seed=0)
+        for lo, hi in ((0, 1), (1, 4), (0, 4)):
+            whole, cut = store.block(1), store.block(1, (lo, hi))
+            assert cut.keys() == whole.keys()
+            for w in ("gate", "up", "down"):
+                np.testing.assert_array_equal(
+                    cut[f"qm.ffn.{w}"].data, whole[f"qm.ffn.{w}"].data[lo:hi]
+                )
+                of = cut[f"of.ffn.{w}"]
+                if shared_of_ffn:
+                    assert of is whole[f"of.ffn.{w}"] and of.shape[0] == 1
+                else:
+                    np.testing.assert_array_equal(of.data, whole[f"of.ffn.{w}"].data[lo:hi])
+            assert cut["seq.ffn.gate"] is whole["seq.ffn.gate"]
+            assert cut["qm.norm"] is whole["qm.norm"]
+
     def test_ablated_params_absent(self, tiny_schema):
         cfg = mx.ModelConfig(
             n_heads=2, head_dim=8, n_blocks=1, max_seq_len=6,

@@ -282,6 +282,19 @@ class TestFileFormats:
         with pytest.raises(mx.DataError):
             mx.read_dataset(str(p), other)
 
+    @pytest.mark.parametrize("bit", range(1, 8))
+    def test_label_bit_flip_rejected_on_read(self, tmp_path, tiny_schema, bit):
+        # a label byte that is neither 0 nor 1 is corrupt, never a label
+        rng = np.random.default_rng(6)
+        p = tmp_path / "dataset.bin"
+        reqs = [random_request(tiny_schema, rng) for _ in range(2)]
+        mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=reqs))
+        blob = bytearray(p.read_bytes())
+        blob[-1] ^= 1 << bit  # the last label of the last request
+        p.write_bytes(bytes(blob))
+        with pytest.raises(mx.DataError):
+            mx.read_dataset(str(p), tiny_schema)
+
     def test_out_of_vocab_ids_rejected_on_read(self, tmp_path, tiny_schema):
         # shrink a vocab after writing: stored ids become invalid
         rng = np.random.default_rng(6)

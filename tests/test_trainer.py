@@ -1,5 +1,6 @@
 """Optimizers, batch planning, metrics, and training-loop behavior."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -340,9 +341,45 @@ class TestEvaluateDecoupled:
         store, holdout = self._setup(tiny_schema)
         cfg = store.config
         foreign = np.ones((cfg.n_heads, cfg.head_dim)), mx.build_mask(cfg.n_heads, 1, cfg.head_dim)
+        batch = mx.stack_requests(holdout[:1])
         for mask in foreign:
             with pytest.raises(mx.ConfigError):
                 mx.evaluate(holdout, store, mask)
+            with pytest.raises(mx.ConfigError):
+                mx.forward(holdout[0], 0, store, mask)
+            with pytest.raises(mx.ConfigError):
+                mx.batched_forward(batch, store, mask)
+            with pytest.raises(mx.ConfigError):
+                mx.batch_loss(batch, store, mask)
+
+
+class TestEvaluateInputs:
+    """evaluate validates its holdout before scoring it."""
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["plain", "decoupled"])
+    def test_bad_holdout_raises_typed_error(self, tiny_schema, decoupled):
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=8, n_blocks=1, max_seq_len=6,
+            decoupling=mx.DecoupleConfig(True, 2, 2) if decoupled else mx.DecoupleConfig(),
+        )
+        store = mx.init_parameters(tiny_schema, cfg, seed=1)
+        rng = np.random.default_rng(23)
+        holdout = [random_request(tiny_schema, rng, n_candidates=4) for _ in range(6)]
+        too_long = dataclasses.replace(holdout[0], actions=np.zeros((9, 2), dtype=np.int64))
+        unlabelled = dataclasses.replace(holdout[1], labels=None)
+        wide = dataclasses.replace(holdout[2], labels=np.zeros((4, 3)))
+        short = dataclasses.replace(holdout[3], labels=np.zeros((3, 2)))
+        not_binary = dataclasses.replace(holdout[4], labels=np.full((4, 2), 0.5))
+        for bad, error in (
+            (too_long, mx.DataError),
+            (unlabelled, mx.MetricError),
+            (wide, mx.MetricError),
+            (short, mx.DataError),
+            (not_binary, mx.DataError),
+        ):
+            with pytest.raises(error):
+                mx.evaluate([*holdout, bad], store)
+        mx.evaluate(holdout, store)
 
 
 class TestAblationHarness:
