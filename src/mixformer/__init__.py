@@ -80,7 +80,6 @@ from .features import (
     embed_nonseq_batch,
     head_layout,
     make_tables,
-    pad_for_heads,
     read_dataset,
     read_oracle,
     read_schema,

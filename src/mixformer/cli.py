@@ -103,10 +103,14 @@ def _load_json(path: str | None) -> dict:
 
 
 def _resolve(dc, file_cfg: dict, cli_args: dict):
-    """defaults < config file < explicit CLI flags."""
+    """defaults < config file < explicit CLI flags.  A negative seed is a
+    ConfigError, since the generators draw from it."""
     run = settings_from_json(type(dc), file_cfg, dc)
     flags = {k: v for k, v in cli_args.items() if v is not None and k in dc.__dataclass_fields__}
-    return settings_from_json(type(dc), flags, run)
+    run = settings_from_json(type(dc), flags, run)
+    if getattr(run, "seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, not {run.seed}")
+    return run
 
 
 def _model_config(run) -> ModelConfig:
@@ -236,6 +240,13 @@ class TrainRun:
     def __post_init__(self) -> None:
         if self.max_steps is not None and self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
+        if min(self.epochs, self.eval_every, self.save_every) < 0:
+            raise ConfigError(
+                "epochs, eval_every and save_every must be >= 0; "
+                "eval_every and save_every of 0 evaluate and save only at the end"
+            )
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must lie in [0, 1); 0 keeps no holdout")
 
@@ -250,6 +261,22 @@ def _drop_rows_after(log_path: Path, global_step: int) -> None:
         if line.endswith("\n") and not (step.isdigit() and int(step) > global_step):
             keep.append(line)
     write_atomic(log_path, "".join(keep).encode())
+
+
+def _resume_position(extra, path: str) -> tuple[int, int, int]:
+    """(epoch, step_in_epoch, global_step) from a checkpoint's extra header,
+    each 0 when absent.  extra must be an object and each field present a
+    non-negative int; anything else is a DataError."""
+    if not isinstance(extra, dict):
+        raise DataError(f"{path}: extra must be an object, not {json.dumps(extra)}")
+    keys = ("epoch", "step_in_epoch", "global_step")
+    for key in keys:
+        value = extra.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise DataError(
+                f"{path}: {key} must be a non-negative integer, not {json.dumps(value)}"
+            )
+    return tuple(extra.get(key, 0) for key in keys)
 
 
 def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
@@ -271,8 +298,8 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
             raise DataError(f"{args.resume} has no optimizer state; cannot resume")
         opt = Optimizer(store.dense, store.tables, opt_cfg)
         opt.rms_acc = dense_opt
-        start = (int(extra.get("epoch", 0)), int(extra.get("step_in_epoch", 0)))
-        global_step = int(extra.get("global_step", 0))
+        epoch, step, global_step = _resume_position(extra, args.resume)
+        start = (epoch, step)
         cfg = store.config
     else:
         cfg = _model_config(run)
@@ -535,6 +562,11 @@ class AblateRun:
     batch_size: int = 256
     max_steps: int | None = None
     holdout_fraction: float = 0.1
+
+    def __post_init__(self) -> None:
+        # the CSV reports each run's final loss, so each run takes a step
+        if self.epochs < 1 or (self.max_steps is not None and self.max_steps < 1):
+            raise ConfigError("ablate needs an optimizer step: epochs and max_steps must be >= 1")
 
 
 def cmd_ablate(run: AblateRun, args: argparse.Namespace) -> int:

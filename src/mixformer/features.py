@@ -3,10 +3,11 @@
 A schema declares non-sequential fields (tagged user / context / item)
 and the per-action fields of the behavior sequence.  Non-sequential
 embeddings are concatenated user-and-context first, then item, so the
-user prefix of the vector is candidate-independent.  The concatenation
-is zero-padded and sliced into n_heads equal pieces; when user heads are
-allocated, each side is padded separately so no head slice straddles the
-user/item boundary.
+user prefix of the vector is candidate-independent.  A HeadLayout splits
+the concatenation into sides of whole heads: one side without user heads,
+else the user side then the item side.  split_heads zero-pads each side
+to its heads and slices it into equal pieces, so no head slice straddles
+the user/item boundary.
 """
 
 from __future__ import annotations
@@ -228,23 +229,15 @@ class Dataset:
 class HeadLayout:
     """How the non-sequential concat is padded and sliced into heads.
 
-    Without user heads the whole vector is tail-padded to n_heads *
-    slice_width.  With user heads the user segment is padded to
-    n_user_heads * slice_width and the item segment to the remaining
-    heads, so the boundary between sides falls exactly on a head edge.
+    sides holds (first head, end head, field width) per side, in concat
+    order: ((0, n_user_heads, d_ns_user), (n_user_heads, n_heads,
+    d_ns_item)) with user heads, ((0, n_heads, d_ns),) without.  Each side
+    is tail-padded to its heads' share of slice_width columns, so no head
+    slice straddles the user/item boundary.
     """
 
-    n_heads: int
-    n_user_heads: int
     slice_width: int
-    user_width: int
-    item_width: int
-    user_pad: int
-    tail_pad: int
-
-    @property
-    def padded_width(self) -> int:
-        return self.n_heads * self.slice_width
+    sides: tuple[tuple[int, int, int], ...]
 
 
 def head_layout(
@@ -252,69 +245,13 @@ def head_layout(
 ) -> HeadLayout:
     if n_heads < 1:
         raise ShapeError("n_heads must be >= 1")
-    if not 0 <= n_user_heads <= n_heads:
-        raise ShapeError("n_user_heads must lie in [0, n_heads]")
-    d_u, d_g = schema.d_ns_user, schema.d_ns_item
-    if n_user_heads == 0:
-        width = math.ceil((d_u + d_g) / n_heads)
-        return HeadLayout(
-            n_heads=n_heads,
-            n_user_heads=0,
-            slice_width=width,
-            user_width=d_u,
-            item_width=d_g,
-            user_pad=0,
-            tail_pad=n_heads * width - (d_u + d_g),
-        )
-    n_g = n_heads - n_user_heads
-    if n_g == 0:
-        raise ShapeError("at least one item head is required")
-    width = max(math.ceil(d_u / n_user_heads), math.ceil(d_g / n_g), 1)
-    return HeadLayout(
-        n_heads=n_heads,
-        n_user_heads=n_user_heads,
-        slice_width=width,
-        user_width=d_u,
-        item_width=d_g,
-        user_pad=n_user_heads * width - d_u,
-        tail_pad=n_g * width - d_g,
-    )
-
-
-def pad_for_heads(
-    e_ns: ad.Tensor, layout: HeadLayout, heads: tuple[int, int] | None = None
-) -> ad.Tensor:
-    """Insert the layout's zero padding; works on any leading batch dims.
-
-    heads = (lo, hi) pads only the fields of head rows [lo, hi), which
-    must be whole sides: with user heads, rows [0, n_user_heads) hold the
-    user and context fields and the rest the item fields; without, every
-    row holds both.
-    """
-    n, n_u = layout.n_heads, layout.n_user_heads
-    # (first head, end head, field width, zero padding) of each side
-    sides = [(0, n, layout.user_width + layout.item_width, layout.tail_pad)]
-    if n_u:
-        sides = [(0, n_u, layout.user_width, layout.user_pad),
-                 (n_u, n, layout.item_width, layout.tail_pad)]
-    lo, hi = heads or (0, n)
-    sides = [s for s in sides if lo <= s[0] and s[1] <= hi]
-    width = sum(s[2] for s in sides)
-    if sum(s[1] - s[0] for s in sides) != hi - lo or e_ns.shape[-1] != width:
-        raise ShapeError(
-            f"concat width {e_ns.shape[-1]} does not fill head rows [{lo}, {hi}) "
-            f"of the layout, which take {width}"
-        )
-    if not any(s[3] for s in sides):
-        return e_ns
-    parts: list[ad.Tensor] = []
-    off = 0
-    for _, _, w, pad in sides:
-        parts.append(e_ns if w == width else e_ns[..., off : off + w])
-        if pad:
-            parts.append(ad.Tensor(np.zeros(e_ns.shape[:-1] + (pad,))))
-        off += w
-    return ad.concat(parts, axis=-1)
+    if not 0 <= n_user_heads < n_heads:
+        raise ShapeError("n_user_heads must lie in [0, n_heads): at least one item head")
+    sides = ((0, n_heads, schema.d_ns),)
+    if n_user_heads:
+        sides = ((0, n_user_heads, schema.d_ns_user), (n_user_heads, n_heads, schema.d_ns_item))
+    width = max(math.ceil(w / (hi - lo)) for lo, hi, w in sides)
+    return HeadLayout(max(width, 1), sides)
 
 
 def split_heads(
@@ -323,23 +260,40 @@ def split_heads(
     """Pad, slice into head pieces, and project each into model width.
 
     projections is a stacked (n_heads, model_dim, slice_width) tensor;
-    output is (..., n_heads, model_dim).  With heads = (lo, hi), e_ns holds
-    only the fields of head rows [lo, hi) (see pad_for_heads), and only
-    those rows are projected: output is (..., hi - lo, model_dim).
+    output is (..., n_heads, model_dim), on any leading batch dims.  With
+    heads = (lo, hi), which must be whole sides of the layout, e_ns holds
+    only those sides' fields and only rows [lo, hi) are projected: output
+    is (..., hi - lo, model_dim).
     """
     e_ns = ad.as_tensor(e_ns)
     projections = ad.as_tensor(projections)
     n, _, width = projections.shape
-    if n != layout.n_heads or width != layout.slice_width:
+    if n != layout.sides[-1][1] or width != layout.slice_width:
         raise ShapeError(
             f"projections {projections.shape} do not match layout "
-            f"(n_heads={layout.n_heads}, slice_width={layout.slice_width})"
+            f"(n_heads={layout.sides[-1][1]}, slice_width={layout.slice_width})"
         )
-    padded = pad_for_heads(e_ns, layout, heads)
-    if heads is not None and heads != (0, n):
-        projections = projections[heads[0] : heads[1]]
-        n = heads[1] - heads[0]
-    return ad.head_matmul(padded.reshape(padded.shape[:-1] + (n, width)), projections)
+    lo, hi = heads or (0, n)
+    sides = [s for s in layout.sides if lo <= s[0] and s[1] <= hi]
+    total = sum(w for _, _, w in sides)
+    if sum(b - a for a, b, _ in sides) != hi - lo or e_ns.shape[-1] != total:
+        raise ShapeError(
+            f"concat width {e_ns.shape[-1]} does not fill head rows [{lo}, {hi}) "
+            f"of the layout, which take {total}"
+        )
+    if (lo, hi) != (0, n):
+        projections = projections[lo:hi]
+    pads = [(b - a) * width - w for a, b, w in sides]
+    if any(pads):
+        parts: list[ad.Tensor] = []
+        off = 0
+        for (_, _, w), pad in zip(sides, pads):
+            parts.append(e_ns if w == total else e_ns[..., off : off + w])
+            if pad:
+                parts.append(ad.Tensor(np.zeros(e_ns.shape[:-1] + (pad,))))
+            off += w
+        e_ns = ad.concat(parts, axis=-1)
+    return ad.head_matmul(e_ns.reshape(e_ns.shape[:-1] + (hi - lo, width)), projections)
 
 
 @dataclass

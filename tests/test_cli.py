@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import struct
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -99,6 +100,41 @@ class TestConfigResolution:
         }[command]
         assert main([command, *paths, "--config", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "train", "bench-rlb", "ablate"])
+    def test_negative_seed_is_config_error(self, command, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "gen" else [
+            "--data", str(corpus), "--out", str(out)
+        ]
+        assert main([command, *args, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: seed must be >= 0, not -1"]
+        assert not out.exists()
+        if command == "train":  # a resume fails the same way, and touches nothing
+            assert main([command, *args, "--max-steps", "1"]) == 0
+            before = {q.name: q.read_bytes() for q in out.iterdir()}
+            ck = str(out / "checkpoint.bin")
+            assert main([command, *args, "--resume", ck, "--seed", "-1"]) == 2
+            assert {q.name: q.read_bytes() for q in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--epochs", "-1"),
+        ("train", "--eval-every", "-1"),
+        ("train", "--save-every", "-1"),
+        ("train", "--batch-size", "0"),
+        ("ablate", "--max-steps", "0"),
+        ("ablate", "--epochs", "0"),
+        ("ablate", "--epochs", "-1"),
+    ])
+    def test_counts_that_cannot_run_are_config_errors(
+        self, command, flag, value, corpus, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main([command, "--data", str(corpus), "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ")
+        assert not out.exists()
 
     def test_flags_beat_file_beats_defaults(self, tmp_path, corpus):
         cfg = tmp_path / "train.json"
@@ -398,6 +434,37 @@ class TestTrain:
         ])
         assert rc == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"epoch": "x"}, "epoch must be"),
+        ({"epoch": -3}, "epoch must be"),
+        ({"epoch": [1]}, "epoch must be"),
+        ({"epoch": 2.5}, "epoch must be"),
+        ({"epoch": True}, "epoch must be"),
+        ({"step_in_epoch": None}, "step_in_epoch must be"),
+        ({"global_step": -5}, "global_step must be"),
+        ([0, 0, 1], "extra must be an object"),
+    ], ids=[
+        "epoch_text", "epoch_negative", "epoch_list", "epoch_float", "epoch_bool",
+        "step_in_epoch_null", "global_step_negative", "extra_list",
+    ])
+    def test_bad_resume_position_is_data_error(self, corpus, tmp_path, capsys, extra, message):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(corpus), "--out", str(out)]
+        assert main([*args, "--max-steps", "1"]) == 0
+        blob = (out / "checkpoint.bin").read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        header["extra"] = {**header["extra"], **extra} if isinstance(extra, dict) else extra
+        hb = json.dumps(header, sort_keys=True).encode()
+        bad = tmp_path / "position.bin"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(hb)) + hb + blob[12 + hlen :])
+        before = {q.name: q.read_bytes() for q in out.iterdir()}
+        capsys.readouterr()
+        assert main([*args, "--resume", str(bad)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "position.bin" in err[0] and message in err[0]
+        assert {q.name: q.read_bytes() for q in out.iterdir()} == before
 
     def test_decouple_flag_threads_through(self, corpus, tmp_path):
         out = tmp_path / "dec"

@@ -95,18 +95,17 @@ class TestTables:
 class TestHeadLayout:
     def test_undecoupled_tail_pad(self, tiny_schema):
         lay = mx.head_layout(tiny_schema, n_heads=4)
-        # ceil(11 / 4) = 3 -> padded to 12
+        # one side of 11 over 4 heads: ceil(11 / 4) = 3 -> padded to 12
+        assert lay.sides == ((0, 4, 11),)
         assert lay.slice_width == 3
-        assert lay.tail_pad == 1
-        assert lay.user_pad == 0
-        assert lay.padded_width == 12
+        assert 4 * lay.slice_width - 11 == 1
 
     def test_decoupled_pads_each_side(self, tiny_schema):
         lay = mx.head_layout(tiny_schema, n_heads=4, n_user_heads=2)
         # user 5 over 2 heads and item 6 over 2 heads -> width 3
+        assert lay.sides == ((0, 2, 5), (2, 4, 6))
         assert lay.slice_width == 3
-        assert lay.user_pad == 1
-        assert lay.tail_pad == 0
+        assert [(hi - lo) * lay.slice_width - w for lo, hi, w in lay.sides] == [1, 0]
 
     def test_head_boundary_never_straddles_sides(self):
         rng = np.random.default_rng(7)
@@ -117,9 +116,15 @@ class TestHeadLayout:
             n_u = int(rng.integers(1, n))
             schema = mx.schema_from_widths(d_u, d_g, 4, 4)
             lay = mx.head_layout(schema, n, n_u)
-            user_padded = d_u + lay.user_pad
-            assert user_padded == n_u * lay.slice_width
-            assert d_g + lay.tail_pad == (n - n_u) * lay.slice_width
+            assert lay.sides == ((0, n_u, d_u), (n_u, n, d_g))
+            assert lay.slice_width == max(-(-d_u // n_u), -(-d_g // (n - n_u)))
+            assert d_u <= n_u * lay.slice_width
+            assert d_g <= (n - n_u) * lay.slice_width
+
+    @pytest.mark.parametrize("n_heads, n_user_heads", [(0, 0), (4, -1), (4, 4)])
+    def test_bad_head_counts_are_shape_errors(self, tiny_schema, n_heads, n_user_heads):
+        with pytest.raises(mx.ShapeError):
+            mx.head_layout(tiny_schema, n_heads, n_user_heads)
 
 
 class TestSplitHeads:
@@ -133,7 +138,9 @@ class TestSplitHeads:
     def test_padding_slots_are_zero(self):
         schema = mx.schema_from_widths(3, 2, 1, 1)
         lay = mx.head_layout(schema, n_heads=2, n_user_heads=1)
-        assert (lay.user_pad, lay.tail_pad) == (0, 1)
+        # user 3 fills its head; item 2 gets one pad column
+        assert lay.sides == ((0, 1, 3), (1, 2, 2))
+        assert lay.slice_width == 3
         proj = np.stack([np.eye(3), np.eye(3)])
         out = mx.split_heads(np.array([1.0, 2, 3, 4, 5]), proj, lay)
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [4, 5, 0]])
