@@ -61,6 +61,7 @@ from .decouple import (
 from .errors import (
     ConfigError,
     DataError,
+    GraphReleasedError,
     MetricError,
     MixformerError,
     NumericError,

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import ShapeError
+from .errors import GraphReleasedError, ShapeError
 
 _GRAD_ENABLED: bool = True
 _TRACES: list["FlopTrace"] = []
@@ -120,7 +120,13 @@ class Tensor:
         return self.data.size
 
     def backward(self, grad=None) -> None:
-        """Accumulate gradients of a scalar (or given cotangent) into leaves."""
+        """Accumulate gradients of a scalar (or given cotangent) into leaves.
+
+        This consumes the graph: each node drops its parents and its VJP
+        once the VJP has run, so saved activations are freed as the walk
+        goes.  A second backward through a consumed node raises
+        GraphReleasedError.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without a cotangent needs a scalar output")
@@ -147,7 +153,8 @@ class Tensor:
                 stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -155,7 +162,9 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            parents = node._parents
+            node._parents, node._vjp = (), _released
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
@@ -177,6 +186,12 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _released(g: np.ndarray) -> Sequence[np.ndarray | None]:
+    raise GraphReleasedError(
+        "backward() through a graph that an earlier backward() already released"
+    )
 
 
 def as_tensor(x) -> Tensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -323,8 +324,13 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
     if not args.resume:
         log_fh.write(_run_header(run) + "\n")
         log_fh.write("step,epoch,loss,holdout_auc0,step_s,impr_per_s\n")
+        log_fh.flush()
 
     def save(epoch: int, step: int, global_step: int) -> None:
+        # the log on disk must reach every step the checkpoint holds, so a
+        # killed run resumes with its rows (a resume drops any past it)
+        log_fh.flush()
+        os.fsync(log_fh.fileno())
         save_checkpoint(
             str(out / "checkpoint.bin"),
             store,

@@ -32,3 +32,7 @@ class MetricError(DataError):
 
 class NumericError(MixformerError):
     """A computation produced non-finite values."""
+
+
+class GraphReleasedError(MixformerError):
+    """backward() reached a node whose graph an earlier backward() consumed."""

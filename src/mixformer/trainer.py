@@ -17,7 +17,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .blocks import (
@@ -180,7 +179,15 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc is undefined with a single class")
-    ranks = rankdata(scores)
+    # a run of tied scores at sorted positions [first, last) holds the
+    # 1-based ranks first+1..last, and each of its scores gets their mean,
+    # an exact half, so the rank sum is exact
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((first + 1 + last) / 2.0, last - first)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mixformer import autodiff as ad
+from mixformer.errors import GraphReleasedError, MixformerError
 
 
 def numeric_grad(fn, args, wrt, u, step=1e-6):
@@ -291,6 +292,29 @@ class TestGraph:
             y = ad.add(y, x)
         ad.sum_(y).backward()
         np.testing.assert_allclose(x.grad, np.full(2, 3001.0))
+
+    def test_backward_releases_interior_nodes(self):
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
+        sq = ad.mul(x, x)
+        h = ad.swish(sq)
+        out = ad.sum_(h)
+        out.backward()
+        assert sq._parents == h._parents == out._parents == ()
+        assert x._vjp is None and x.grad is not None
+
+    def test_second_backward_through_a_released_graph_raises(self):
+        # a released node must not pass for a leaf and take a .grad
+        x = ad.Tensor(np.array([3.0]), requires_grad=True)
+        sq = ad.mul(x, x)
+        out = ad.add(sq, sq)
+        out.backward(np.array([1.0]))
+        with pytest.raises(GraphReleasedError) as err:
+            out.backward(np.array([1.0]))
+        assert isinstance(err.value, MixformerError) and "\n" not in str(err.value)
+        with pytest.raises(GraphReleasedError):
+            ad.sum_(ad.mul(sq, sq)).backward()
+        np.testing.assert_allclose(x.grad, [12.0])
+        assert sq.grad is None
 
     def test_no_grad_blocks_graph(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)

@@ -1,10 +1,15 @@
 """End-to-end command-line flows: exit codes, artifacts, reproducibility."""
 
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+import time
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +397,46 @@ class TestTrain:
         assert main([*args, "--max-steps", "2", "--resume", str(step2)]) == 0
         _, _, rows = read_log(out / "train_log.csv")
         assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4"]
+
+    def test_killed_run_keeps_its_log(self, corpus, tmp_path):
+        # wherever the SIGKILL lands, the log on disk reaches the checkpoint,
+        # and a resume (also past a stale temporary file) retraces the run
+        args = ["train", "--data", str(corpus), "--batch-size", "15", "--epochs", "3"]
+        straight = tmp_path / "straight"
+        assert main([*args, "--out", str(straight)]) == 0
+        killed = tmp_path / "killed"
+        env = {**os.environ, "PYTHONPATH": str(Path(mx.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mixformer", *args, "--out", str(killed), "--save-every", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not (killed / "checkpoint.bin").exists() and proc.poll() is None:
+                assert time.monotonic() < deadline, "no checkpoint within 120 s"
+                time.sleep(0.005)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        _, _, extra = mx.load_checkpoint(str(killed / "checkpoint.bin"))
+        rows = (killed / "train_log.csv").read_text().split("\n")[2:-1]
+        assert rows and int(rows[-1].split(",")[0]) >= extra["global_step"]
+
+        columns = lambda out: [r.split(",")[:3] for r in read_log(out / "train_log.csv")[2]]
+        final, _, _ = mx.load_checkpoint(str(straight / "checkpoint.bin"))
+        for stale in (False, True):
+            out = tmp_path / f"resumed_{stale}"
+            shutil.copytree(killed, out)
+            if stale:
+                (out / "checkpoint.bin.tmp").write_bytes(b"torn")
+            assert main([*args, "--out", str(out), "--resume", str(out / "checkpoint.bin")]) == 0
+            assert not (out / "checkpoint.bin.tmp").exists()
+            assert columns(out) == columns(straight)
+            store, _, _ = mx.load_checkpoint(str(out / "checkpoint.bin"))
+            for name, tensor in final.dense.items():
+                np.testing.assert_array_equal(store.dense[name].data, tensor.data)
+            for name, table in final.tables.items():
+                np.testing.assert_array_equal(store.tables[name].weight.data, table.weight.data)
 
     def test_default_learning_rate_does_not_diverge(self, tmp_path):
         data = tmp_path / "data"

@@ -1,9 +1,13 @@
-"""Every module-level import in the package modules is used, every
-package function the benchmark's tracer wraps still exists, and files are
-written only through the atomic write path."""
+"""Every module-level import in the package modules is used, the package
+does not load scipy.stats, every package function the benchmark's tracer
+wraps still exists, and files are written only through the atomic write
+path."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,23 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {n: line for n, line in _bound_names(tree).items() if n not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_package_does_not_load_scipy_stats():
+    # scipy.stats alone costs about 1 s and 46 MB at import
+    code = (
+        "import sys\n"
+        "import mixformer\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "import mixformer.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(mixformer.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == ["False", "False"]
 
 
 # (module, function) allowed to write a file in place: the atomic helper

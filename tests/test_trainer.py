@@ -19,6 +19,14 @@ def small_dataset(schema, n=20, seed=0, seq_len=4, k=3):
     return mx.Dataset(schema=schema, requests=reqs)
 
 
+def pair_count_auc(scores, labels):
+    """AUC by brute force: wins plus half the ties over positive-negative pairs."""
+    pos, neg = scores[labels > 0.5], scores[labels <= 0.5]
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
 class TestOptimizer:
     def test_rmsprop_single_step_hand_math(self):
         cfg = mx.OptimizerConfig(lr_dense=0.5, rms_decay=0.9, rms_eps=1e-8)
@@ -188,6 +196,42 @@ class TestMetrics:
             weighted = mx.uauc(scores, labels, users, weighted=True)
             assert weighted == np.average(vals, weights=sizes)
 
+    def test_auc_equals_pair_count_under_ties(self):
+        # wins plus half the ties over all positive-negative pairs, exactly
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            scores = rng.integers(0, int(rng.integers(1, 6)), n) * float(rng.choice([0.1, -1.0]))
+            labels = (rng.random(n) < rng.random()).astype(np.float64)
+            if labels.min() == labels.max():
+                continue
+            assert mx.auc(scores, labels) == pair_count_auc(scores, labels)
+            checked += 1
+        assert checked > 100
+
+    def test_auc_tie_edge_cases(self):
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+        assert mx.auc(np.full(5, 0.3), y) == 0.5
+        assert mx.auc(np.array([-0.0, 0.0]), np.array([0.0, 1.0])) == 0.5
+        assert mx.auc(np.array([0.0, -0.0, 1.0]), np.array([0.0, 1.0, 1.0])) == 0.75
+        # one positive among 1000 negatives, above 250 of them and tied with one
+        scores = np.append(np.arange(1000) / 1000, 0.25)
+        labels = np.append(np.zeros(1000), 1.0)
+        assert mx.auc(scores, labels) == 250.5 / 1000
+        assert mx.auc(-scores, labels) == 749.5 / 1000
+
+    def test_uauc_under_ties_equals_per_user_pair_counts(self):
+        rng = np.random.default_rng(9)
+        scores = rng.integers(0, 3, 400) / 2.0
+        labels = (rng.random(400) < 0.3).astype(np.float64)
+        users = rng.integers(0, 12, 400)
+        per_user = [
+            pair_count_auc(scores[users == u], labels[users == u]) for u in np.unique(users)
+        ]
+        assert len(per_user) == 12
+        assert mx.uauc(scores, labels, users) == np.mean(per_user)
+
     def test_uauc_rejects_bad_input(self):
         scores = np.array([0.9, 0.1, 0.8, np.nan])
         labels = np.array([1, 0, 1, 1])
@@ -270,6 +314,32 @@ class TestLossAndTraining:
                 rtol=1e-12,
             )
             start += r.n_candidates
+
+    def test_consecutive_steps_hold_one_tape(self):
+        # backward frees the graph as it runs, so the previous step's loss
+        # no longer keeps its tape alive through the next step's forward
+        spec = mx.GeneratorSpec(
+            n_users=100, n_items=60, n_requests=16, candidates_per_request=8,
+            seq_len_min=16, seq_len_max=16, seed=0,
+        )
+        data = mx.generate(spec)
+        cfg = mx.ModelConfig(n_heads=4, head_dim=16, n_blocks=2, max_seq_len=16)
+        store = mx.init_parameters(data.dataset.schema, cfg, seed=0)
+        opt = mx.Optimizer(store.dense, store.tables)
+        # two batches of 8 requests each
+        steps = mx.train_steps(
+            data.dataset.requests, opt, lambda batch: batch_loss(batch, store), 64, 0, 1
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            next(steps)
+            one = tracemalloc.get_traced_memory()[1] - base
+            next(steps)
+            two = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert two < 1.3 * one, (one, two)
 
     def test_predict_rejects_no_requests(self, tiny_schema, tiny_config):
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
