@@ -3,9 +3,10 @@
 A Tensor wraps a float64 ndarray plus an optional backward closure; ops
 build a DAG and Tensor.backward() walks it in reverse topological order.
 Only what the model needs is implemented: broadcast-aware arithmetic,
-matmul, shape ops, embedding gather, and fused softmax / rms_norm /
-layer_norm / swish / binary cross-entropy.  grad_check compares any
-Tensor function's backward pass against central finite differences.
+matmul, shape ops, embedding gather, fused softmax / rms_norm /
+layer_norm / swish / binary cross-entropy, and sigmoid on arrays, the
+package's one logistic function.  grad_check compares any Tensor
+function's backward pass against central finite differences.
 
 Every op also reports a FLOP count to any active FlopTrace.  The
 convention is fixed across the package so the analytic cost meter can be
@@ -33,6 +34,7 @@ from .errors import GraphReleasedError, ShapeError
 
 _GRAD_ENABLED: bool = True
 _TRACES: list["FlopTrace"] = []
+_GRAD_CHECK_STEP = 1e-5
 
 
 class no_grad:
@@ -443,10 +445,15 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out, dtype=np.float64), (x,), vjp)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)) of an array, elementwise."""
+    return expit(x)
+
+
 def swish(x) -> Tensor:
     """x * sigmoid(x), the gate activation of the gated FFN."""
     x = as_tensor(x)
-    s = expit(x.data)
+    s = sigmoid(x.data)
     out = x.data * s
 
     def vjp(g):
@@ -543,7 +550,7 @@ def bce_with_logits(logits, targets: np.ndarray) -> Tensor:
     out = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
     def vjp(g):
-        return (g * (expit(z) - y),)
+        return (g * (sigmoid(z) - y),)
 
     return _make(out, (logits,), vjp)
 
@@ -566,7 +573,6 @@ def grad_check(
     inputs: Sequence[np.ndarray],
     tolerance: float = 1e-4,
     seed: int = 0,
-    step: float = 1e-5,
     max_coords: int | None = None,
 ) -> GradCheckReport:
     """Compare fn's backward pass against central finite differences.
@@ -575,7 +581,7 @@ def grad_check(
     cotangent u is contracted with the output, so the scalar
     s(x) = <u, fn(x)> has gradient J^T u, which backward must reproduce
     coordinate by coordinate.  Relative error uses
-    |a - n| / max(|a|, |n|, 1e-4).
+    |a - n| / max(|a|, |n|, 1e-4); the differences step by 1e-5.
     """
     rng = np.random.default_rng(seed)
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
@@ -599,12 +605,12 @@ def grad_check(
         ga = np.zeros(flat.size) if leaf.grad is None else leaf.grad.reshape(-1)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + step
+            flat[c] = orig + _GRAD_CHECK_STEP
             plus = objective()
-            flat[c] = orig - step
+            flat[c] = orig - _GRAD_CHECK_STEP
             minus = objective()
             flat[c] = orig
-            numeric = (plus - minus) / (2.0 * step)
+            numeric = (plus - minus) / (2.0 * _GRAD_CHECK_STEP)
             a = float(ga[c])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
             n_checked += 1

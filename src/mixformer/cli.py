@@ -321,7 +321,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
     if args.resume:
         _drop_rows_after(log_path, global_step)
     log_fh = open(log_path, "a" if args.resume else "w")
-    if not args.resume:
+    if log_fh.tell() == 0:  # a fresh run, or a resume into a directory without a log
         log_fh.write(_run_header(run) + "\n")
         log_fh.write("step,epoch,loss,holdout_auc0,step_s,impr_per_s\n")
         log_fh.flush()

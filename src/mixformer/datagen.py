@@ -6,15 +6,15 @@ request samples a user, an affinity-biased action sequence, and K
 candidates (an affinity/uniform mixture).  Labels are Bernoulli draws
 from
 
-    p = sigmoid((w_inter * <u, v> + w_seq * match(seq, v)) / temperature + bias)
+    p = sigmoid((w_inter * <u, v> + w_seq * match(seq, v)) / temperature + BIAS)
 
 where match counts sequence items whose cosine similarity to the
-candidate exceeds a threshold, capped.  The second task uses the
-negated signal with its own bias, so the tasks are anticorrelated.
-True probabilities are kept, which gives an exact oracle ceiling; the
-noise temperature can be bisected until the oracle AUC lands in a
-target band.  Label draws reuse one set of uniforms across temperature
-values, so the bisection objective is smooth.
+candidate exceeds MATCH_THRESHOLD, capped at MATCH_CAP.  The second task
+uses the negated signal with BIAS_SECOND_TASK, so the tasks are
+anticorrelated.  True probabilities are kept, which gives an exact
+oracle ceiling; the noise temperature can be bisected until the oracle
+AUC lands in a target band.  Label draws reuse one set of uniforms
+across temperature values, so the bisection objective is smooth.
 
 Per-request randomness comes from spawned seed sequences, making every
 request reproducible independently of generation order.
@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
@@ -56,6 +55,13 @@ from .trainer import (
 N_ACTION_TYPES = 4
 N_RECENCY_BUCKETS = 8
 N_USER_SEGMENTS = 32
+LATENT_DIM = 16
+BIAS = -1.0
+BIAS_SECOND_TASK = -1.5
+MATCH_THRESHOLD = 0.8  # cosine above which a sequence item matches a candidate
+MATCH_CAP = 10
+AFFINITY_SHARPNESS = 6.0  # softmax inverse temperature over <u, item>
+AFFINITY_MIX = 0.5  # share of candidates drawn by affinity, not uniformly
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,6 @@ class GeneratorSpec:
     n_users: int = 50_000
     n_items: int = 5_000
     n_clusters: int = 50
-    latent_dim: int = 16
     cluster_spread: float = 0.08
     seq_len_min: int = 64
     seq_len_max: int = 64
@@ -73,29 +78,21 @@ class GeneratorSpec:
     candidates_per_request: int = 8
     w_inter: float = 2.5
     w_seq: float = 0.6
-    bias: float = -1.0
-    bias_second_task: float = -1.5
     noise_temperature: float = 1.0
-    match_threshold: float = 0.8
-    match_cap: int = 10
-    affinity_sharpness: float = 6.0
-    affinity_mix: float = 0.5
     n_tasks: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_users < 1 or self.n_items < 2 or self.n_requests < 1:
             raise ConfigError("generator needs users, >= 2 items, and requests")
-        if self.n_clusters < 1 or self.latent_dim < 2:
-            raise ConfigError("n_clusters >= 1 and latent_dim >= 2 required")
+        if self.n_clusters < 1:
+            raise ConfigError("n_clusters must be >= 1")
         if not 0 <= self.seq_len_min <= self.seq_len_max:
             raise ConfigError("need 0 <= seq_len_min <= seq_len_max")
         if self.candidates_per_request < 1:
             raise ConfigError("candidates_per_request must be >= 1")
         if self.noise_temperature <= 0:
             raise ConfigError("noise_temperature must be positive")
-        if not 0.0 <= self.affinity_mix <= 1.0:
-            raise ConfigError("affinity_mix must lie in [0, 1]")
         if self.n_tasks not in (1, 2):
             raise ConfigError("generator supports 1 or 2 tasks")
 
@@ -146,13 +143,13 @@ def _build_skeleton(spec: GeneratorSpec) -> _Skeleton:
     world_ss, label_ss, requests_ss = root.spawn(3)
     world = np.random.default_rng(world_ss)
 
-    centers = _unit_rows(world.normal(size=(spec.n_clusters, spec.latent_dim)))
+    centers = _unit_rows(world.normal(size=(spec.n_clusters, LATENT_DIM)))
     clusters = world.integers(spec.n_clusters, size=spec.n_items)
     items = _unit_rows(
         centers[clusters]
-        + spec.cluster_spread * world.normal(size=(spec.n_items, spec.latent_dim))
+        + spec.cluster_spread * world.normal(size=(spec.n_items, LATENT_DIM))
     )
-    users = _unit_rows(world.normal(size=(spec.n_users, spec.latent_dim)))
+    users = _unit_rows(world.normal(size=(spec.n_users, LATENT_DIM)))
     segments = world.integers(N_USER_SEGMENTS, size=spec.n_users)
 
     k = spec.candidates_per_request
@@ -169,7 +166,7 @@ def _build_skeleton(spec: GeneratorSpec) -> _Skeleton:
         uid = int(rng.integers(spec.n_users))
         req_users[i] = uid
         u = users[uid]
-        logits = spec.affinity_sharpness * (items @ u)
+        logits = AFFINITY_SHARPNESS * (items @ u)
         logits -= logits.max()
         p = np.exp(logits)
         p /= p.sum()
@@ -177,7 +174,7 @@ def _build_skeleton(spec: GeneratorSpec) -> _Skeleton:
         seq = rng.choice(spec.n_items, size=t, replace=True, p=p)
         sequences.append(seq.astype(np.int64))
         action_types.append(rng.integers(N_ACTION_TYPES, size=t).astype(np.int64))
-        from_affinity = rng.random(k) < spec.affinity_mix
+        from_affinity = rng.random(k) < AFFINITY_MIX
         c = np.where(
             from_affinity,
             rng.choice(spec.n_items, size=k, replace=True, p=p),
@@ -187,9 +184,7 @@ def _build_skeleton(spec: GeneratorSpec) -> _Skeleton:
         dot[i] = items[c] @ u
         if t:
             cos = items[seq] @ items[c].T  # (T, K), all unit rows
-            match[i] = np.minimum(
-                (cos > spec.match_threshold).sum(axis=0), spec.match_cap
-            )
+            match[i] = np.minimum((cos > MATCH_THRESHOLD).sum(axis=0), MATCH_CAP)
         else:
             match[i] = 0.0
 
@@ -216,9 +211,9 @@ def _probs(skel: _Skeleton, temperature: float) -> np.ndarray:
     """(n_requests, K, n_tasks) true label probabilities."""
     spec = skel.spec
     signal = (spec.w_inter * skel.dot + spec.w_seq * skel.match) / temperature
-    cols = [expit(signal + spec.bias)]
+    cols = [ad.sigmoid(signal + BIAS)]
     if spec.n_tasks == 2:
-        cols.append(expit(-signal + spec.bias_second_task))
+        cols.append(ad.sigmoid(-signal + BIAS_SECOND_TASK))
     return np.stack(cols, axis=-1)
 
 
@@ -358,13 +353,12 @@ def baseline_score(
     seed: int = 0,
     epochs: int = 2,
     batch_size: int = 1024,
-    optimizer_config: OptimizerConfig | None = None,
 ) -> MetricSummary:
     """Train the pooled logistic baseline and evaluate it on a holdout.
 
-    Without optimizer_config the baseline steps its dense weights at
-    lr_dense 0.01, not the model's default: the model-vs-baseline AUC
-    margins of the acceptance criteria were measured against it.
+    The baseline steps its dense weights at lr_dense 0.01, not the
+    model's default: the model-vs-baseline AUC margins of the acceptance
+    criteria were measured against it.
     """
     schema = train.schema
     n_tasks = train.requests[0].labels.shape[1]
@@ -374,7 +368,7 @@ def baseline_score(
     linear = ad.Tensor(rng.normal(0.0, 0.01, size=(n_tasks, width)), requires_grad=True)
     bias = ad.Tensor(np.zeros(n_tasks), requires_grad=True)
     dense = {"linear": linear, "bias": bias}
-    opt = Optimizer(dense, tables, optimizer_config or OptimizerConfig(lr_dense=0.01))
+    opt = Optimizer(dense, tables, OptimizerConfig(lr_dense=0.01))
 
     def logits(batch) -> ad.Tensor:
         return _baseline_logits(batch, tables, linear, bias, schema)

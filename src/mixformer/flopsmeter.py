@@ -53,7 +53,6 @@ class ComponentCount:
 class FlopsReport:
     components: dict[str, ComponentCount]
     n_params: int
-    n_requests: int
     n_candidates: int
     rlb: bool
 
@@ -130,28 +129,25 @@ def count_flops(
     schema: FeatureSchema,
     seq_len: int,
     n_candidates: int = 1,
-    n_requests: int = 1,
     rlb: bool = False,
 ) -> FlopsReport:
-    """Analytic cost of scoring n_requests, each with n_candidates.
+    """Analytic cost of scoring one request of n_candidates.
 
     Without rlb every component is paid once per candidate.  With rlb
-    (decoupling required) the user-tagged share is paid once per
-    request.
+    (decoupling required) the user-tagged share is paid once.
     """
-    if seq_len < 0 or n_candidates < 1 or n_requests < 1:
-        raise ConfigError("seq_len >= 0, n_candidates >= 1, n_requests >= 1 required")
+    if seq_len < 0 or n_candidates < 1:
+        raise ConfigError("seq_len >= 0 and n_candidates >= 1 required")
     if rlb and not config.decoupling.enabled:
         raise ConfigError("request-level batching requires decoupling in the config")
-    user_scale = n_requests * (1 if rlb else n_candidates)
+    user_scale = 1 if rlb else n_candidates
     per = _per_candidate_components(config, schema, seq_len)
     return FlopsReport(
         components={
-            name: ComponentCount(user_scale * user, n_requests * n_candidates * item)
+            name: ComponentCount(user_scale * user, n_candidates * item)
             for name, (user, item) in per.items()
         },
         n_params=count_params(config, schema),
-        n_requests=n_requests,
         n_candidates=n_candidates,
         rlb=rlb,
     )

@@ -16,7 +16,6 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .blocks import (
@@ -33,19 +32,19 @@ from .errors import ConfigError, MetricError, NumericError
 from .features import Dataset, EmbeddingTable, Request, RequestBatch, stack_requests
 
 
+RMS_DECAY = 0.9
+RMS_EPS = 1e-8
+ADAGRAD_EPS = 1e-10
+
+
 @dataclass
 class OptimizerConfig:
     lr_dense: float = 0.003
-    rms_decay: float = 0.9
-    rms_eps: float = 1e-8
     lr_sparse: float = 0.05
-    adagrad_eps: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.lr_dense < 0 or self.lr_sparse < 0:
             raise ConfigError("learning rates must be non-negative")
-        if not 0.0 < self.rms_decay < 1.0:
-            raise ConfigError("rms_decay must lie in (0, 1)")
 
 
 class Optimizer:
@@ -71,9 +70,9 @@ class Optimizer:
             if g is None:
                 continue
             acc = self.rms_acc[name]
-            acc *= c.rms_decay
-            acc += (1.0 - c.rms_decay) * g * g
-            t.data = t.data - c.lr_dense * g / np.sqrt(acc + c.rms_eps)
+            acc *= RMS_DECAY
+            acc += (1.0 - RMS_DECAY) * g * g
+            t.data = t.data - c.lr_dense * g / np.sqrt(acc + RMS_EPS)
         for table in self.tables.values():
             g = table.weight.grad
             if g is None:
@@ -84,7 +83,7 @@ class Optimizer:
             gr = g[rows]
             table.adagrad_acc[rows] += gr * gr
             table.weight.data[rows] -= (
-                c.lr_sparse * gr / np.sqrt(table.adagrad_acc[rows] + c.adagrad_eps)
+                c.lr_sparse * gr / np.sqrt(table.adagrad_acc[rows] + ADAGRAD_EPS)
             )
 
     def zero_grad(self) -> None:
@@ -279,7 +278,7 @@ def predict(
         per = max(1, _PREDICT_IMPRESSIONS // max(key))
         for lo in range(0, len(idx), per):
             sel = idx[lo : lo + per]
-            p = expit(logits_fn(stack_requests([requests[i] for i in sel])))
+            p = ad.sigmoid(logits_fn(stack_requests([requests[i] for i in sel])))
             for i, rows in zip(sel, p):
                 probs[i] = rows
     p = np.concatenate(probs)

@@ -313,10 +313,7 @@ class TestTrain:
         for name in a.dense:
             np.testing.assert_array_equal(a.dense[name].data, b.dense[name].data)
         loss = lambda p: [r.split(",")[2] for r in read_log(p / "train_log.csv")[2]]
-        resumed = loss(part1) + [
-            r.split(",")[2]
-            for r in (part2 / "train_log.csv").read_text().splitlines()
-        ]
+        resumed = loss(part1) + loss(part2)
         assert loss(straight) == resumed
 
     def test_resume_continues_step_column(self, corpus, tmp_path):
@@ -329,10 +326,24 @@ class TestTrain:
             "--resume", str(part1 / "checkpoint.bin"),
         ])
         assert rc == 0
-        rows = (part2 / "train_log.csv").read_text().splitlines()
+        _, _, rows = read_log(part2 / "train_log.csv")
         assert [r.split(",")[0] for r in rows] == ["4", "5", "6"]
         _, _, extra = mx.load_checkpoint(str(part2 / "checkpoint.bin"))
         assert extra["global_step"] == 6
+
+    def test_resume_into_new_out_writes_log_header(self, corpus, tmp_path):
+        args = ["train", "--data", str(corpus), "--batch-size", "15"]
+        part1 = tmp_path / "part1"
+        assert main([*args, "--out", str(part1), "--max-steps", "2"]) == 0
+        part2 = tmp_path / "part2"
+        assert main([
+            *args, "--out", str(part2), "--max-steps", "3",
+            "--resume", str(part1 / "checkpoint.bin"),
+        ]) == 0
+        embedded, header, rows = read_log(part2 / "train_log.csv")
+        assert embedded["max_steps"] == 3
+        assert header == "step,epoch,loss,holdout_auc0,step_s,impr_per_s"
+        assert [r.split(",")[0] for r in rows] == ["3", "4", "5"]
 
     def test_step_time_and_throughput_logged(self, corpus, tmp_path):
         out = tmp_path / "run"

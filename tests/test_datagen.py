@@ -8,6 +8,9 @@ import pytest
 
 import mixformer as mx
 from mixformer.datagen import (
+    BIAS,
+    BIAS_SECOND_TASK,
+    MATCH_CAP,
     GeneratorSpec,
     baseline_score,
     generate,
@@ -75,12 +78,10 @@ class TestSpecValidation:
         "bad",
         [
             dict(n_items=1),
-            dict(latent_dim=1),
             dict(seq_len_min=5, seq_len_max=3),
             dict(seq_len_min=-1),
             dict(candidates_per_request=0),
             dict(noise_temperature=0.0),
-            dict(affinity_mix=1.5),
             dict(n_tasks=3),
         ],
     )
@@ -100,18 +101,18 @@ def flat():
 
 class TestZeroSignal:
     def test_label_marginal_matches_bias(self, flat):
-        spec, data = flat
+        _, data = flat
         labels = np.concatenate([r.labels for r in data.dataset.requests])
         n = labels.shape[0]
-        for task, bias in enumerate([spec.bias, spec.bias_second_task]):
+        for task, bias in enumerate([BIAS, BIAS_SECOND_TASK]):
             p = sigmoid(bias)
             bound = 4.0 * math.sqrt(p * (1.0 - p) / n)
             assert abs(labels[:, task].mean() - p) < bound
 
     def test_oracle_probs_constant_and_auc_half(self, flat):
-        spec, data = flat
+        _, data = flat
         probs = np.concatenate(data.oracle)
-        np.testing.assert_array_equal(probs[:, 0], sigmoid(spec.bias))
+        np.testing.assert_array_equal(probs[:, 0], sigmoid(BIAS))
         assert data.oracle_auc(0) == 0.5
         assert data.oracle_auc(1) == 0.5
 
@@ -227,9 +228,9 @@ class TestPlantedSignal:
         )
         data = generate(spec)
         probs = np.concatenate(data.oracle)[:, 0]
-        ceiling = sigmoid(spec.w_seq * spec.match_cap / spec.noise_temperature
-                          + spec.bias)
-        floor = sigmoid(spec.bias)
+        ceiling = sigmoid(spec.w_seq * MATCH_CAP / spec.noise_temperature
+                          + BIAS)
+        floor = sigmoid(BIAS)
         assert probs.max() <= ceiling + 1e-12
         assert probs.min() >= floor - 1e-12
         assert probs.max() > floor + 1e-9  # some sequence matches actually fire

@@ -1,7 +1,7 @@
 """Every module-level import in the package modules is used, the package
-does not load scipy.stats, every package function the benchmark's tracer
-wraps still exists, and files are written only through the atomic write
-path."""
+does not load scipy.stats and imports scipy in autodiff.py alone, every
+package function the benchmark's tracer wraps still exists, and files
+are written only through the atomic write path."""
 
 import ast
 import importlib.util
@@ -55,6 +55,29 @@ def test_package_does_not_load_scipy_stats():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.split() == ["False", "False"]
+
+
+def _imports_scipy(tree: ast.Module) -> bool:
+    """Whether any import, at any depth, names scipy or a scipy submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n.split(".")[0] == "scipy" for n in names):
+            return True
+    return False
+
+
+def test_only_autodiff_imports_scipy():
+    # autodiff.sigmoid, the package's one logistic function, is its only use of scipy
+    importers = {
+        p.name for p in [*MODULES, Path(mixformer.__file__)]
+        if _imports_scipy(ast.parse(p.read_text()))
+    }
+    assert importers == {"autodiff.py"}
 
 
 # (module, function) allowed to write a file in place: the atomic helper
