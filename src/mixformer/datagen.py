@@ -17,14 +17,18 @@ AUC lands in a target band.  Label draws reuse one set of uniforms
 across temperature values, so the bisection objective is smooth.
 
 Per-request randomness comes from spawned seed sequences, making every
-request reproducible independently of generation order.
+request reproducible independently of generation order.  Requests are
+drawn in chunks of at most _CHUNK_IMPRESSIONS impressions, and each chunk
+is realized straight into the output arrays, so generation holds the
+output plus one chunk.  Label uniforms come from one sequential stream,
+so the corpus does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -118,103 +122,117 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-@dataclass
-class _Skeleton:
-    """Everything drawn before the temperature enters: ids, signals, and
-    the label uniforms."""
+_CHUNK_IMPRESSIONS = 2**16  # impressions drawn and realized at a time
 
-    spec: GeneratorSpec
-    schema: FeatureSchema
+
+@dataclass
+class _World:
+    """What every request draws from."""
+
     user_latents: np.ndarray
     item_latents: np.ndarray
     item_clusters: np.ndarray
     user_segments: np.ndarray
-    users: np.ndarray  # (n_requests,)
+
+
+@dataclass
+class _Chunk:
+    """Consecutive requests as drawn before the temperature enters: ids,
+    signals and the label uniforms."""
+
+    rows: slice  # request indices
+    users: np.ndarray  # (c,)
     sequences: list[np.ndarray]  # item ids, (T_i,)
     action_types: list[np.ndarray]
-    candidates: np.ndarray  # (n_requests, K)
-    dot: np.ndarray  # (n_requests, K)
-    match: np.ndarray  # (n_requests, K)
-    label_u01: np.ndarray  # (n_requests, K, n_tasks)
+    candidates: np.ndarray  # (c, K)
+    dot: np.ndarray  # (c, K)
+    match: np.ndarray  # (c, K)
+    label_u01: np.ndarray  # (c, K, n_tasks)
 
 
-def _build_skeleton(spec: GeneratorSpec) -> _Skeleton:
+def _draw(spec: GeneratorSpec) -> tuple[_World, Iterator[_Chunk]]:
+    """The world, and the requests in chunks of at most _CHUNK_IMPRESSIONS
+    impressions (at least one request each), in request order."""
     root = np.random.SeedSequence(spec.seed)
     world_ss, label_ss, requests_ss = root.spawn(3)
-    world = np.random.default_rng(world_ss)
-
-    centers = _unit_rows(world.normal(size=(spec.n_clusters, LATENT_DIM)))
-    clusters = world.integers(spec.n_clusters, size=spec.n_items)
+    rng = np.random.default_rng(world_ss)
+    centers = _unit_rows(rng.normal(size=(spec.n_clusters, LATENT_DIM)))
+    clusters = rng.integers(spec.n_clusters, size=spec.n_items)
     items = _unit_rows(
         centers[clusters]
-        + spec.cluster_spread * world.normal(size=(spec.n_items, LATENT_DIM))
+        + spec.cluster_spread * rng.normal(size=(spec.n_items, LATENT_DIM))
     )
-    users = _unit_rows(world.normal(size=(spec.n_users, LATENT_DIM)))
-    segments = world.integers(N_USER_SEGMENTS, size=spec.n_users)
+    users = _unit_rows(rng.normal(size=(spec.n_users, LATENT_DIM)))
+    world = _World(users, items, clusters, rng.integers(N_USER_SEGMENTS, size=spec.n_users))
+    return world, _chunks(spec, world, requests_ss, np.random.default_rng(label_ss))
 
+
+def _chunks(
+    spec: GeneratorSpec, world: _World, requests_ss: np.random.SeedSequence,
+    label_rng: np.random.Generator,
+) -> Iterator[_Chunk]:
+    # spawned children and label uniforms follow one sequence however the
+    # requests are chunked, so every chunk size draws the same corpus
     k = spec.candidates_per_request
-    req_ss = requests_ss.spawn(spec.n_requests)
-    req_users = np.empty(spec.n_requests, dtype=np.int64)
-    sequences: list[np.ndarray] = []
-    action_types: list[np.ndarray] = []
-    cand = np.empty((spec.n_requests, k), dtype=np.int64)
-    dot = np.empty((spec.n_requests, k))
-    match = np.empty((spec.n_requests, k))
-
-    for i in range(spec.n_requests):
-        rng = np.random.default_rng(req_ss[i])
-        uid = int(rng.integers(spec.n_users))
-        req_users[i] = uid
-        u = users[uid]
-        logits = AFFINITY_SHARPNESS * (items @ u)
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-        t = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
-        seq = rng.choice(spec.n_items, size=t, replace=True, p=p)
-        sequences.append(seq.astype(np.int64))
-        action_types.append(rng.integers(N_ACTION_TYPES, size=t).astype(np.int64))
-        from_affinity = rng.random(k) < AFFINITY_MIX
-        c = np.where(
-            from_affinity,
-            rng.choice(spec.n_items, size=k, replace=True, p=p),
-            rng.integers(spec.n_items, size=k),
+    items = world.item_latents
+    per_chunk = max(1, _CHUNK_IMPRESSIONS // k)
+    for start in range(0, spec.n_requests, per_chunk):
+        c = min(per_chunk, spec.n_requests - start)
+        req_users = np.empty(c, dtype=np.int64)
+        sequences: list[np.ndarray] = []
+        action_types: list[np.ndarray] = []
+        cand = np.empty((c, k), dtype=np.int64)
+        dot = np.empty((c, k))
+        match = np.empty((c, k))
+        for i, ss in enumerate(requests_ss.spawn(c)):
+            rng = np.random.default_rng(ss)
+            uid = int(rng.integers(spec.n_users))
+            req_users[i] = uid
+            u = world.user_latents[uid]
+            logits = AFFINITY_SHARPNESS * (items @ u)
+            logits -= logits.max()
+            p = np.exp(logits)
+            p /= p.sum()
+            t = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
+            seq = rng.choice(spec.n_items, size=t, replace=True, p=p)
+            sequences.append(seq.astype(np.int64))
+            action_types.append(rng.integers(N_ACTION_TYPES, size=t).astype(np.int64))
+            from_affinity = rng.random(k) < AFFINITY_MIX
+            cand[i] = np.where(
+                from_affinity,
+                rng.choice(spec.n_items, size=k, replace=True, p=p),
+                rng.integers(spec.n_items, size=k),
+            )
+            cand_items = items[cand[i]]
+            dot[i] = cand_items @ u
+            if t:
+                cos = items[seq] @ cand_items.T  # (T, K), all unit rows
+                match[i] = np.minimum((cos > MATCH_THRESHOLD).sum(axis=0), MATCH_CAP)
+            else:
+                match[i] = 0.0
+        yield _Chunk(
+            rows=slice(start, start + c),
+            users=req_users,
+            sequences=sequences,
+            action_types=action_types,
+            candidates=cand,
+            dot=dot,
+            match=match,
+            label_u01=label_rng.random((c, k, spec.n_tasks)),
         )
-        cand[i] = c
-        dot[i] = items[c] @ u
-        if t:
-            cos = items[seq] @ items[c].T  # (T, K), all unit rows
-            match[i] = np.minimum((cos > MATCH_THRESHOLD).sum(axis=0), MATCH_CAP)
-        else:
-            match[i] = 0.0
-
-    label_rng = np.random.default_rng(label_ss)
-    u01 = label_rng.random((spec.n_requests, k, spec.n_tasks))
-    return _Skeleton(
-        spec=spec,
-        schema=make_schema(spec),
-        user_latents=users,
-        item_latents=items,
-        item_clusters=clusters,
-        user_segments=segments,
-        users=req_users,
-        sequences=sequences,
-        action_types=action_types,
-        candidates=cand,
-        dot=dot,
-        match=match,
-        label_u01=u01,
-    )
 
 
-def _probs(skel: _Skeleton, temperature: float) -> np.ndarray:
-    """(n_requests, K, n_tasks) true label probabilities."""
-    spec = skel.spec
-    signal = (spec.w_inter * skel.dot + spec.w_seq * skel.match) / temperature
-    cols = [ad.sigmoid(signal + BIAS)]
-    if spec.n_tasks == 2:
-        cols.append(ad.sigmoid(-signal + BIAS_SECOND_TASK))
-    return np.stack(cols, axis=-1)
+def _probs(
+    spec: GeneratorSpec, dot: np.ndarray, match: np.ndarray, temperature: float,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write the true label probabilities of the first out.shape[-1] tasks
+    into out, (..., n), and return it."""
+    signal = (spec.w_inter * dot + spec.w_seq * match) / temperature
+    out[..., 0] = ad.sigmoid(signal + BIAS)
+    if out.shape[-1] == 2:
+        out[..., 1] = ad.sigmoid(-signal + BIAS_SECOND_TASK)
+    return out
 
 
 def _recency_buckets(t: int) -> np.ndarray:
@@ -238,43 +256,45 @@ class SyntheticData:
 
 
 def generate(spec: GeneratorSpec) -> SyntheticData:
-    """Draw the full corpus at the spec's noise temperature."""
-    skel = _build_skeleton(spec)
-    return _realize(skel, spec.noise_temperature)
-
-
-def _realize(skel: _Skeleton, temperature: float) -> SyntheticData:
-    spec = skel.spec
-    probs = _probs(skel, temperature)
-    labels = (skel.label_u01 < probs).astype(np.float64)
+    """Draw the full corpus at the spec's noise temperature.  Each chunk
+    is realized into the output arrays: candidates, labels and oracle
+    rows of every request are views of one array each."""
+    world, chunks = _draw(spec)
+    shape = (spec.n_requests, spec.candidates_per_request)
+    probs = np.empty((*shape, spec.n_tasks))
+    labels = np.empty((*shape, spec.n_tasks))
+    cands = np.empty((*shape, 2), dtype=np.int64)
     requests: list[Request] = []
-    oracle: list[np.ndarray] = []
-    for i in range(spec.n_requests):
-        uid = int(skel.users[i])
-        seq = skel.sequences[i]
-        t = seq.size
-        actions = np.stack(
-            [seq, skel.action_types[i], _recency_buckets(t)], axis=1
-        ) if t else np.zeros((0, 3), dtype=np.int64)
-        cands = np.stack(
-            [skel.candidates[i], skel.item_clusters[skel.candidates[i]]], axis=1
-        )
-        requests.append(
-            Request(
-                user_id=uid,
-                user_nonseq=np.array([uid, skel.user_segments[uid]], dtype=np.int64),
-                actions=actions,
-                candidates=cands,
-                labels=labels[i],
+    for chunk in chunks:
+        rows = chunk.rows
+        _probs(spec, chunk.dot, chunk.match, spec.noise_temperature, probs[rows])
+        labels[rows] = chunk.label_u01 < probs[rows]
+        cands[rows, :, 0] = chunk.candidates
+        cands[rows, :, 1] = world.item_clusters[chunk.candidates]
+        for i, uid, seq, types in zip(
+            range(rows.start, rows.stop), chunk.users.tolist(), chunk.sequences,
+            chunk.action_types,
+        ):
+            t = seq.size
+            actions = np.stack(
+                [seq, types, _recency_buckets(t)], axis=1
+            ) if t else np.zeros((0, 3), dtype=np.int64)
+            requests.append(
+                Request(
+                    user_id=uid,
+                    user_nonseq=np.array([uid, world.user_segments[uid]], dtype=np.int64),
+                    actions=actions,
+                    candidates=cands[i],
+                    labels=labels[i],
+                )
             )
-        )
-        oracle.append(probs[i])
+        del chunk  # before the next chunk is drawn
     return SyntheticData(
-        dataset=Dataset(schema=skel.schema, requests=requests),
-        oracle=oracle,
-        user_latents=skel.user_latents,
-        item_latents=skel.item_latents,
-        item_clusters=skel.item_clusters,
+        dataset=Dataset(schema=make_schema(spec), requests=requests),
+        oracle=list(probs),
+        user_latents=world.user_latents,
+        item_latents=world.item_latents,
+        item_clusters=world.item_clusters,
     )
 
 
@@ -290,13 +310,18 @@ def tune_noise_temperature(
     adjusted spec and the achieved oracle AUC."""
     if not 0.5 < target[0] < target[1] < 1.0:
         raise ConfigError("target band must satisfy 0.5 < lo < hi < 1.0")
-    skel = _build_skeleton(spec)
+    shape = (spec.n_requests, spec.candidates_per_request)
+    dot, match, u01 = np.empty(shape), np.empty(shape), np.empty(shape)
+    for chunk in _draw(spec)[1]:
+        dot[chunk.rows] = chunk.dot
+        match[chunk.rows] = chunk.match
+        u01[chunk.rows] = chunk.label_u01[..., 0]
+    probs = np.empty((*shape, 1))
     mid = (target[0] + target[1]) / 2.0
 
     def oracle_auc(temp: float) -> float:
-        probs = _probs(skel, temp)
-        labels = skel.label_u01[..., 0] < probs[..., 0]
-        return auc(probs[..., 0].ravel(), labels.ravel().astype(np.float64))
+        p = _probs(spec, dot, match, temp, probs)[..., 0]
+        return auc(p.ravel(), (u01 < p).ravel().astype(np.float64))
 
     lo, hi = _TEMPERATURE_BRACKET
     a_lo, a_hi = oracle_auc(lo), oracle_auc(hi)

@@ -557,11 +557,16 @@ def write_oracle(path: str, probs: Sequence[np.ndarray]) -> None:
     """CSV of true click probabilities: request, candidate, then one
     column per task, printed at full precision."""
     n_tasks = probs[0].shape[1] if len(probs) else 0
-    lines = ["request,candidate," + ",".join(f"p{t}" for t in range(n_tasks))]
-    for i, mat in enumerate(probs):
-        for k in range(mat.shape[0]):
-            lines.append(f"{i},{k}," + ",".join("%.17g" % v for v in mat[k]))
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(("request,candidate," + ",".join(f"p{t}" for t in range(n_tasks)) + "\n").encode())
+        for i, mat in enumerate(probs):
+            fh.write("".join(
+                f"{i},{k}," + ",".join("%.17g" % v for v in row) + "\n"
+                for k, row in enumerate(mat)
+            ).encode())
+
+    write_atomic(path, write)
 
 
 def read_oracle(path: str) -> list[np.ndarray]:

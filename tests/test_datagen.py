@@ -1,6 +1,7 @@
 """Synthetic generator: planted signal, oracle ceiling, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,18 @@ def small_data():
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def assert_same_requests(a, b):
+    """The first min(len) requests and oracle rows of two corpora are equal."""
+    for r_a, r_b in zip(a.dataset.requests, b.dataset.requests):
+        assert r_a.user_id == r_b.user_id
+        for name in ("user_nonseq", "actions", "candidates", "labels"):
+            x, y = getattr(r_a, name), getattr(r_b, name)
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+    for o_a, o_b in zip(a.oracle, b.oracle):
+        np.testing.assert_array_equal(o_a, o_b)
 
 
 # ---------------------------------------------------------------- schema
@@ -83,6 +96,10 @@ class TestSpecValidation:
             dict(candidates_per_request=0),
             dict(noise_temperature=0.0),
             dict(n_tasks=3),
+        ],
+        ids=[
+            "one_item", "seq_len_min_above_max", "negative_seq_len_min",
+            "no_candidates", "zero_temperature", "three_tasks",
         ],
     )
     def test_bad_spec_rejected(self, bad):
@@ -151,14 +168,88 @@ class TestDeterminism:
         """Shrinking n_requests must not disturb the earlier requests:
         every request draws from its own spawned seed."""
         short = generate(GeneratorSpec(**{**SMALL, "n_requests": 5}))
-        for r_small, r_big in zip(short.dataset.requests, small_data.dataset.requests):
-            assert r_small.user_id == r_big.user_id
-            np.testing.assert_array_equal(r_small.user_nonseq, r_big.user_nonseq)
-            np.testing.assert_array_equal(r_small.actions, r_big.actions)
-            np.testing.assert_array_equal(r_small.candidates, r_big.candidates)
-            np.testing.assert_array_equal(r_small.labels, r_big.labels)
-        for o_small, o_big in zip(short.oracle, small_data.oracle):
-            np.testing.assert_array_equal(o_small, o_big)
+        assert_same_requests(short, small_data)
+
+
+# ------------------------------------------------------------- chunking
+
+CHUNKED = GeneratorSpec(**{**SMALL, "n_requests": 10})
+
+
+def chunk_sizes(spec):
+    return [c.rows.stop - c.rows.start for c in mx.datagen._draw(spec)[1]]
+
+
+@pytest.fixture(scope="module")
+def one_chunk():
+    assert chunk_sizes(CHUNKED) == [CHUNKED.n_requests]
+    return generate(CHUNKED)
+
+
+class TestChunking:
+    """The corpus is drawn and realized a few whole requests at a time;
+    the chunk size must not change a single value."""
+
+    @pytest.mark.parametrize("per_chunk, sizes", [
+        (1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1]),
+    ])
+    def test_corpus_independent_of_chunk_size(self, one_chunk, per_chunk, sizes, monkeypatch):
+        k = CHUNKED.candidates_per_request
+        monkeypatch.setattr(mx.datagen, "_CHUNK_IMPRESSIONS", per_chunk * k)
+        assert chunk_sizes(CHUNKED) == sizes
+        data = generate(CHUNKED)
+        assert len(data.dataset.requests) == len(data.oracle) == CHUNKED.n_requests
+        assert_same_requests(data, one_chunk)
+        for name in ("user_latents", "item_latents", "item_clusters"):
+            np.testing.assert_array_equal(getattr(data, name), getattr(one_chunk, name))
+
+    def test_prefix_stable_across_chunk_boundary(self, one_chunk, monkeypatch):
+        # chunks of 3: five requests end inside the second chunk
+        monkeypatch.setattr(mx.datagen, "_CHUNK_IMPRESSIONS", 3 * CHUNKED.candidates_per_request)
+        short = generate(replace(CHUNKED, n_requests=5))
+        assert len(short.dataset.requests) == 5
+        assert_same_requests(short, one_chunk)
+
+    def test_temperature_search_independent_of_chunk_size(self, monkeypatch):
+        spec = GeneratorSpec(**{**SMALL, "n_requests": 200})
+        whole = tune_noise_temperature(spec)
+        monkeypatch.setattr(mx.datagen, "_CHUNK_IMPRESSIONS", 3 * spec.candidates_per_request)
+        assert tune_noise_temperature(spec) == whole
+
+
+class TestWorkingSet:
+    """Generation holds its output plus one chunk, and the oracle file is
+    streamed row by row."""
+
+    WIDE = GeneratorSpec(**{**SMALL, "seq_len_min": 8, "seq_len_max": 8,
+                            "n_requests": 640, "candidates_per_request": 1024})
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        tracemalloc.start()
+        try:
+            data = generate(self.WIDE)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return data, held, peak
+
+    def test_generate_peak_near_its_output(self, traced):
+        _, held, peak = traced
+        assert peak < 1.25 * held, (held, peak)
+
+    def test_oracle_written_in_bounded_memory(self, traced, tmp_path):
+        data, _, _ = traced
+        path = tmp_path / "oracle.csv"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mx.write_oracle(str(path), data.oracle[:48])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < size / 10, (size, peak)
 
 
 # ---------------------------------------------------------- corpus shape
