@@ -331,8 +331,9 @@ def head_matmul(x, w) -> Tensor:
     x is (*lead, *rows, n, c) and w is (*lead, n, o, c), where lead has
     w.ndim - 3 axes; either head count n may be 1 and broadcasts.  Each
     head is one product of all rows against a C-contiguous copy of wᵀ, run
-    through _tiled_matmul, so a row rounds the same at any number of rows
-    and one candidate scores exactly as it does among many.
+    through _tiled_matmul, so a row rounds the same at any number of rows:
+    one candidate scores exactly as it does among many, and an action's
+    sequence-FFN row is the same in any stack of requests.
     """
     x, w = as_tensor(x), as_tensor(w)
     nl = w.ndim - 3

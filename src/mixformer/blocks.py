@@ -5,7 +5,8 @@ state: a query mixer (parameter-free head mixing plus per-head gated
 FFNs), cross attention from per-head queries onto the user's action
 sequence, and an output fusion of per-head gated FFNs.  Keys and values
 are projected per block from the raw sequence embedding, so they depend
-only on the request, never on the candidate.
+only on the request, never on the candidate.  Every gated FFN, the
+sequence FFN too (one head), is _headwise_ffn.
 
 Default normalization is rms_norm applied before each sublayer; the
 post_ln ablation switches to gain-only layer_norm applied after the
@@ -384,15 +385,6 @@ def _headwise_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor)
     return ad.head_matmul(hidden, down)
 
 
-def _flat_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
-    # x (..., t, width); weights are plain matrices
-    gt = ad.swapaxes(gate, -1, -2)
-    ut = ad.swapaxes(up, -1, -2)
-    dt = ad.swapaxes(down, -1, -2)
-    hidden = ad.mul(ad.swish(ad.matmul(x, gt)), ad.matmul(x, ut))
-    return ad.matmul(hidden, dt)
-
-
 def _single_head_sa(x: ad.Tensor, p: dict[str, ad.Tensor], cfg: ModelConfig) -> ad.Tensor:
     """Ablation substitute for head mixing: one self-attention pass over
     the n_heads rows with learned D x D projections."""
@@ -465,15 +457,16 @@ def project_actions(s, p: dict[str, ad.Tensor], cfg: ModelConfig) -> tuple[ad.Te
     """Per-block keys and values from the raw sequence embedding.
 
     s is (..., t, n_heads*head_dim).  The gated FFN plus residual reads
-    the raw embedding at every block, then each head's slice is
-    projected by that block's key/value matrices.  Returns two
-    (..., n_heads, t, head_dim) tensors.
+    the raw embedding at every block, as _headwise_ffn on one head whose
+    rows are the actions, so a row rounds the same in any stack of
+    requests.  Then each head's slice is projected by that block's
+    key/value matrices.  Returns two (..., n_heads, t, head_dim) tensors.
     """
     s = ad.as_tensor(s)
-    ffn = [p[f"seq.ffn.{w}"] for w in ("gate", "up", "down")]
-    h = _sublayer(s, p["seq.norm"], cfg, lambda sn: _flat_ffn(sn, *ffn))
-    lead = h.shape[:-2]
-    t = h.shape[-2]
+    lead, t, width = s.shape[:-2], s.shape[-2], s.shape[-1]
+    ffn = [p[k].reshape((1,) + p[k].shape) for k in ("seq.ffn.gate", "seq.ffn.up", "seq.ffn.down")]
+    one_head = lambda sn: _headwise_ffn(sn.reshape(lead + (t, 1, width)), *ffn).reshape(sn.shape)
+    h = _sublayer(s, p["seq.norm"], cfg, one_head)
     heads = h.reshape(lead + (t, cfg.n_heads, cfg.head_dim)).swapaxes(-3, -2)
     keys = ad.matmul(heads, ad.swapaxes(p["kv.key"], -1, -2))
     values = ad.matmul(heads, ad.swapaxes(p["kv.value"], -1, -2))

@@ -510,6 +510,8 @@ class BenchRlbRun:
 def cmd_bench_rlb(run: BenchRlbRun, args: argparse.Namespace) -> int:
     ks = [_flag_int(k, "--candidates-list", low=1) for k in run.candidates_list.split(",")]
     schema, dataset = _read_corpus(args.data)
+    if not dataset.requests:
+        raise DataError(f"{args.data} holds no requests to score")
     cfg = _decoupled(PRESETS[run.preset](), schema)
     store = init_parameters(schema, cfg, run.seed)
     requests = dataset.requests[: run.requests]

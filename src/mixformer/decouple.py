@@ -12,8 +12,9 @@ rows' mixing inputs.  rlb_forward is rlb_forward_batch on one request,
 and compute_shared_user_state keeps the user half of the same loop.
 
 rlb_forward_batch reproduces forward_decoupled bit for bit: every
-candidate-row product runs in fixed-shape row tiles (ad.head_matmul), so
-a row rounds the same alone, among a request's candidates or in a stack.
+candidate-row product, and the sequence FFN's product over action rows,
+runs in fixed-shape row tiles (ad.head_matmul), so a row rounds the same
+alone, among a request's candidates or in a stack.
 It never recomputes anything candidate-independent.  trainer.evaluate
 scores a config with user heads through it.  It holds one block's keys
 and values of the stack at a time, and projects them a chunk of whole

@@ -557,14 +557,14 @@ def write_oracle(path: str, probs: Sequence[np.ndarray]) -> None:
     """CSV of true click probabilities: request, candidate, then one
     column per task, printed at full precision."""
     n_tasks = probs[0].shape[1] if len(probs) else 0
+    row = "%d," + ",".join(["%.17g"] * n_tasks) + "\n"  # one % per row
 
     def write(fh: BinaryIO) -> None:
         fh.write(("request,candidate," + ",".join(f"p{t}" for t in range(n_tasks)) + "\n").encode())
         for i, mat in enumerate(probs):
-            fh.write("".join(
-                f"{i},{k}," + ",".join("%.17g" % v for v in row) + "\n"
-                for k, row in enumerate(mat)
-            ).encode())
+            fmt = f"{i},{row}"
+            cols = zip(range(len(mat)), *mat.T.tolist())
+            fh.write("".join([fmt % r for r in cols]).encode())
 
     write_atomic(path, write)
 

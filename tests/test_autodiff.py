@@ -212,13 +212,14 @@ class TestRowRounding:
     """A row of head_matmul rounds the same at any number of rows, so a
     stacked batch scores each candidate exactly as scoring it alone does.
     The shapes are the model's per-head weights, a score product whose
-    column count is not a multiple of 8, and contractions of 384 and 768,
-    the head widths of the corrected presets."""
+    column count is not a multiple of 8, contractions of 384 and 768,
+    the head widths of the corrected presets, and desk-small's sequence
+    FFN, which runs as one head over every action row."""
 
     @pytest.mark.parametrize(
         "shape",
         [(32, 64), (64, 32), (10, 32), (128, 32), (32, 256), (256, 32), (32, 10),
-         (384, 300), (768, 40)],
+         (384, 300), (768, 40), (128, 256), (256, 128)],
     )
     def test_one_row_equals_its_row_of_many(self, shape):
         rng = np.random.default_rng(11)

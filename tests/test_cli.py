@@ -733,6 +733,19 @@ class TestBenchRlb:
         assert header.endswith(",wall_batched_s")
         assert float(k1[6]) > 0.0 and float(k2[6]) > 0.0  # masked batched_forward
 
+    def test_empty_corpus_exits_3_before_output(self, corpus, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        shutil.copy(corpus / "schema.txt", empty / "schema.txt")
+        schema = read_schema(str(empty / "schema.txt"))
+        mx.write_dataset(str(empty / "dataset.bin"), mx.Dataset(schema, []))
+        capsys.readouterr()
+        csv = tmp_path / "bench.csv"
+        assert main(["bench-rlb", "--data", str(empty), "--out", str(csv)]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "no requests" in out.err
+        assert not csv.exists()
+
 
 # --------------------------------------------------------------- ablate
 

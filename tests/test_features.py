@@ -329,6 +329,19 @@ class TestFileFormats:
         for a, b in zip(probs, back):
             np.testing.assert_array_equal(a, b)
 
+    def test_oracle_text_is_pinned(self, tmp_path):
+        # %.17g of each value: zeros and ones bare; the smallest subnormal
+        # and the doubles nearest 0.1 and 1/3 at 17 significant digits
+        probs = [np.array([[0.0, 1.0], [5e-324, 0.1]]), np.array([[1 / 3, 0.0]])]
+        p = tmp_path / "oracle.csv"
+        mx.write_oracle(str(p), probs)
+        assert p.read_text() == (
+            "request,candidate,p0,p1\n"
+            "0,0,0,1\n"
+            "0,1,4.9406564584124654e-324,0.10000000000000001\n"
+            "1,0,0.33333333333333331,0\n"
+        )
+
     @pytest.mark.parametrize("body", [
         b"x,0,0.5\n",  # request index not an integer
         b"0,0,high\n",  # probability not a number
