@@ -135,9 +135,13 @@ def _run_header(run) -> str:
 
 
 def _read_corpus(data: str) -> tuple[FeatureSchema, Dataset]:
-    """The schema and dataset that `gen` wrote to the directory data."""
+    """The schema and dataset that `gen` wrote to the directory data.  A
+    dataset without requests raises DataError: no command can use it."""
     schema = read_schema(str(Path(data) / "schema.txt"))
-    return schema, read_dataset(str(Path(data) / "dataset.bin"), schema)
+    dataset = read_dataset(str(Path(data) / "dataset.bin"), schema)
+    if not dataset.requests:
+        raise DataError(f"{data} holds no requests")
+    return schema, dataset
 
 
 def _flag_int(token: str, flag: str, low: int | None = None) -> int:
@@ -308,7 +312,7 @@ def cmd_train(run: TrainRun, args: argparse.Namespace) -> int:
             cfg = _decoupled(cfg, schema)
         store = init_parameters(schema, cfg, run.seed)
         opt = Optimizer(store.dense, store.tables, opt_cfg)
-    labels = dataset.requests[0].labels if dataset.requests else None
+    labels = dataset.requests[0].labels
     if labels is not None and labels.shape[1] != cfg.n_tasks:
         raise ConfigError(
             f"the model has {cfg.n_tasks} task heads but the corpus labels "
@@ -510,8 +514,6 @@ class BenchRlbRun:
 def cmd_bench_rlb(run: BenchRlbRun, args: argparse.Namespace) -> int:
     ks = [_flag_int(k, "--candidates-list", low=1) for k in run.candidates_list.split(",")]
     schema, dataset = _read_corpus(args.data)
-    if not dataset.requests:
-        raise DataError(f"{args.data} holds no requests to score")
     cfg = _decoupled(PRESETS[run.preset](), schema)
     store = init_parameters(schema, cfg, run.seed)
     requests = dataset.requests[: run.requests]
@@ -523,9 +525,7 @@ def cmd_bench_rlb(run: BenchRlbRun, args: argparse.Namespace) -> int:
     for k in ks:
         reqs_k = []
         for r in requests:
-            cands = np.stack(
-                [rng.integers(v, size=k) for v in item_vocabs], axis=1
-            ).astype(np.int64)
+            cands = np.stack([rng.integers(v, size=k) for v in item_vocabs], axis=1)
             reqs_k.append(replace(r, candidates=cands, labels=None))
         t0 = time.perf_counter()
         per_cand = [

@@ -35,6 +35,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .features import (
+    ID_DTYPE,
+    LABEL_DTYPE,
     ActionField,
     Dataset,
     EmbeddingTable,
@@ -181,7 +183,7 @@ def _chunks(
         req_users = np.empty(c, dtype=np.int64)
         sequences: list[np.ndarray] = []
         action_types: list[np.ndarray] = []
-        cand = np.empty((c, k), dtype=np.int64)
+        cand = np.empty((c, k), dtype=ID_DTYPE)
         dot = np.empty((c, k))
         match = np.empty((c, k))
         for i, ss in enumerate(requests_ss.spawn(c)):
@@ -195,8 +197,8 @@ def _chunks(
             p /= p.sum()
             t = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
             seq = rng.choice(spec.n_items, size=t, replace=True, p=p)
-            sequences.append(seq.astype(np.int64))
-            action_types.append(rng.integers(N_ACTION_TYPES, size=t).astype(np.int64))
+            sequences.append(seq.astype(ID_DTYPE))
+            action_types.append(rng.integers(N_ACTION_TYPES, size=t).astype(ID_DTYPE))
             from_affinity = rng.random(k) < AFFINITY_MIX
             cand[i] = np.where(
                 from_affinity,
@@ -238,7 +240,7 @@ def _probs(
 def _recency_buckets(t: int) -> np.ndarray:
     # most recent action first; bucket grows logarithmically with age
     ages = np.arange(t)
-    return np.minimum(np.log2(ages + 1).astype(np.int64), N_RECENCY_BUCKETS - 1)
+    return np.minimum(np.log2(ages + 1).astype(ID_DTYPE), N_RECENCY_BUCKETS - 1)
 
 
 @dataclass
@@ -258,12 +260,13 @@ class SyntheticData:
 def generate(spec: GeneratorSpec) -> SyntheticData:
     """Draw the full corpus at the spec's noise temperature.  Each chunk
     is realized into the output arrays: candidates, labels and oracle
-    rows of every request are views of one array each."""
+    rows of every request are views of one array each, at the widths a
+    Request holds (ID_DTYPE ids, LABEL_DTYPE labels)."""
     world, chunks = _draw(spec)
     shape = (spec.n_requests, spec.candidates_per_request)
     probs = np.empty((*shape, spec.n_tasks))
-    labels = np.empty((*shape, spec.n_tasks))
-    cands = np.empty((*shape, 2), dtype=np.int64)
+    labels = np.empty((*shape, spec.n_tasks), dtype=LABEL_DTYPE)
+    cands = np.empty((*shape, 2), dtype=ID_DTYPE)
     requests: list[Request] = []
     for chunk in chunks:
         rows = chunk.rows
@@ -278,11 +281,11 @@ def generate(spec: GeneratorSpec) -> SyntheticData:
             t = seq.size
             actions = np.stack(
                 [seq, types, _recency_buckets(t)], axis=1
-            ) if t else np.zeros((0, 3), dtype=np.int64)
+            ) if t else np.zeros((0, 3), dtype=ID_DTYPE)
             requests.append(
                 Request(
                     user_id=uid,
-                    user_nonseq=np.array([uid, world.user_segments[uid]], dtype=np.int64),
+                    user_nonseq=np.array([uid, world.user_segments[uid]], dtype=ID_DTYPE),
                     actions=actions,
                     candidates=cands[i],
                     labels=labels[i],
@@ -321,7 +324,7 @@ def tune_noise_temperature(
 
     def oracle_auc(temp: float) -> float:
         p = _probs(spec, dot, match, temp, probs)[..., 0]
-        return auc(p.ravel(), (u01 < p).ravel().astype(np.float64))
+        return auc(p.ravel(), (u01 < p).ravel())
 
     lo, hi = _TEMPERATURE_BRACKET
     a_lo, a_hi = oracle_auc(lo), oracle_auc(hi)

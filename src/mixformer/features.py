@@ -146,6 +146,23 @@ def make_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Em
     }
 
 
+# What a Request holds, the widths of the dataset file's <u4 ids and <u1 labels
+ID_DTYPE = np.int32
+LABEL_DTYPE = np.uint8
+
+
+def _narrow(values, dtype: type) -> np.ndarray:
+    """values at dtype when every value survives the round trip exactly;
+    otherwise as given, so that Request.validate rejects them instead of a
+    cast wrapping or truncating them."""
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return values
+    with np.errstate(invalid="ignore"):
+        narrow = values.astype(dtype)
+    return narrow if np.array_equal(narrow, values) else values
+
+
 @dataclass
 class Request:
     """One scoring request: a user, their recent actions, K candidates.
@@ -153,6 +170,11 @@ class Request:
     user_nonseq holds ids for user-and-context fields in schema order;
     actions is (T, n_action_fields); candidates is (K, n_item_fields);
     labels, when present, is (K, n_tasks) in {0, 1}.
+
+    Ids are held as int32 and labels as uint8, the widths of the dataset
+    file's <u4 ids and <u1 labels, so a corpus in memory is no larger than
+    on disk.  Input that does not fit those widths exactly (an id of 2**32
+    + 3, a label of 0.5) is kept as given, and validate rejects it.
     """
 
     user_id: int
@@ -162,11 +184,11 @@ class Request:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.user_nonseq = np.asarray(self.user_nonseq, dtype=np.int64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
-        self.candidates = np.asarray(self.candidates, dtype=np.int64)
+        self.user_nonseq = _narrow(self.user_nonseq, ID_DTYPE)
+        self.actions = _narrow(self.actions, ID_DTYPE)
+        self.candidates = _narrow(self.candidates, ID_DTYPE)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.float64)
+            self.labels = _narrow(self.labels, LABEL_DTYPE)
 
     @property
     def seq_len(self) -> int:
@@ -203,7 +225,9 @@ class Request:
         ):
             raise DataError("candidates must be (K >= 1, n_item_fields)")
         y = self.labels
-        if y is not None and (y.ndim != 2 or len(y) != self.n_candidates or (y * (1 - y)).any()):
+        if y is not None and (
+            y.ndim != 2 or len(y) != self.n_candidates or ((y != 0) & (y != 1)).any()
+        ):
             raise DataError("labels must be (K, n_tasks), each 0 or 1")
         for ids, fields in (
             (self.user_nonseq.reshape(1, -1), schema.user_fields()),
@@ -211,6 +235,8 @@ class Request:
             (self.actions, schema.action_fields),
         ):
             bad = (ids < 0) | (ids >= [f.vocab_size for f in fields])
+            if ids.dtype.kind == "f":  # kept by _narrow: an id of 1.5 is no id
+                bad |= ids != np.trunc(ids)
             if bad.any():
                 raise VocabError(f"field {fields[bad.any(axis=0).argmax()].name}: id out of range")
 
@@ -499,6 +525,14 @@ def write_dataset(path: str, dataset: Dataset) -> None:
 
 
 def read_dataset(path: str, schema: FeatureSchema) -> Dataset:
+    """The requests of a dataset file, each validated against schema.
+
+    Ids are narrowed from the file's <u4 to a Request's int32 and labels
+    kept at the file's <u1, the widths Request holds, in arrays of their
+    own rather than views of the file's bytes.  A stored id that int32
+    cannot hold, or one past its field's vocabulary, raises VocabError; a
+    label byte other than 0 or 1 raises DataError.
+    """
     blob = read_file(path, "dataset")
     if blob[:4] != _MAGIC:
         raise DataError(f"{path}: not a dataset file")
@@ -537,13 +571,13 @@ def read_dataset(path: str, schema: FeatureSchema) -> Dataset:
         labels = None
         if has_labels:
             labels = np.frombuffer(blob, dtype="<u1", count=k * n_tasks, offset=off)
-            labels = labels.reshape(k, n_tasks).astype(np.float64)
+            labels = labels.reshape(k, n_tasks).copy()  # keeps no request on the file's bytes
             off += k * n_tasks
         req = Request(
             user_id=int(user_id),
-            user_nonseq=user_ns.astype(np.int64),
-            actions=acts.astype(np.int64).reshape(t, n_act),
-            candidates=cands.astype(np.int64).reshape(k, n_item),
+            user_nonseq=user_ns,
+            actions=acts.reshape(t, n_act),
+            candidates=cands.reshape(k, n_item),
             labels=labels,
         )
         req.validate(schema)

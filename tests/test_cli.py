@@ -44,6 +44,17 @@ def corpus(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def empty_corpus(corpus, tmp_path):
+    """corpus's schema beside a dataset of no requests."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    shutil.copy(corpus / "schema.txt", empty / "schema.txt")
+    schema = read_schema(str(empty / "schema.txt"))
+    mx.write_dataset(str(empty / "dataset.bin"), mx.Dataset(schema, []))
+    return empty
+
+
 def read_log(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ")
@@ -534,6 +545,15 @@ class TestTrain:
         assert dec["enabled"] is True
         assert dec["n_user_heads"] + dec["n_item_heads"] == 4
 
+    def test_empty_corpus_exits_3_before_output(self, empty_corpus, tmp_path, capsys):
+        # no untrained checkpoint of the init, no log and no metrics
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(empty_corpus), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "no requests" in err
+        assert not out.exists()
+
     def test_exit_codes(self, corpus, tmp_path):
         out = str(tmp_path / "r")
         assert main([
@@ -733,15 +753,10 @@ class TestBenchRlb:
         assert header.endswith(",wall_batched_s")
         assert float(k1[6]) > 0.0 and float(k2[6]) > 0.0  # masked batched_forward
 
-    def test_empty_corpus_exits_3_before_output(self, corpus, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        shutil.copy(corpus / "schema.txt", empty / "schema.txt")
-        schema = read_schema(str(empty / "schema.txt"))
-        mx.write_dataset(str(empty / "dataset.bin"), mx.Dataset(schema, []))
+    def test_empty_corpus_exits_3_before_output(self, empty_corpus, tmp_path, capsys):
         capsys.readouterr()
         csv = tmp_path / "bench.csv"
-        assert main(["bench-rlb", "--data", str(empty), "--out", str(csv)]) == 3
+        assert main(["bench-rlb", "--data", str(empty_corpus), "--out", str(csv)]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "no requests" in out.err
         assert not csv.exists()

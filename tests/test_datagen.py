@@ -251,11 +251,35 @@ class TestWorkingSet:
         size = path.stat().st_size
         assert peak < size / 10, (size, peak)
 
+    def test_requests_retain_about_their_file_bytes(self, tmp_path):
+        # ids and labels are held at dataset.bin's widths (4-byte ids,
+        # 1-byte labels), so the requests retain little more than the file
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            requests = generate(self.WIDE).dataset.requests
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        path = tmp_path / "dataset.bin"
+        mx.write_dataset(str(path), mx.Dataset(make_schema(self.WIDE), requests))
+        impressions = sum(r.n_candidates for r in requests)
+        per_impression = retained / impressions
+        file_per_impression = path.stat().st_size / impressions
+        assert per_impression < 1.2 * file_per_impression, (per_impression, file_per_impression)
+
 
 # ---------------------------------------------------------- corpus shape
 
 
 class TestCorpusShape:
+    def test_requests_hold_file_widths(self, small_data):
+        # int32 ids and uint8 labels, the widths of dataset.bin's <u4 and <u1
+        for r in small_data.dataset.requests:
+            for a in (r.user_nonseq, r.actions, r.candidates):
+                assert a.dtype == np.int32
+            assert r.labels.dtype == np.uint8
+
     def test_seq_lengths_span_the_configured_range(self, small_data):
         lens = np.array([r.seq_len for r in small_data.dataset.requests])
         assert lens.min() >= SMALL["seq_len_min"]
@@ -270,6 +294,7 @@ class TestCorpusShape:
         for r in data.dataset.requests:
             assert r.seq_len == 0
             assert r.actions.shape == (0, 3)
+            assert r.actions.dtype == np.int32
 
     def test_recency_buckets_grow_logarithmically(self, small_data):
         from mixformer.datagen import N_RECENCY_BUCKETS

@@ -216,12 +216,29 @@ class TestRlbForward:
             ({"actions": np.zeros((8, 1), dtype=np.int64)}, mx.DataError),
             ({"user_nonseq": np.array([1, 2])}, mx.DataError),
             ({"candidates": np.array([[3], [13]])}, mx.VocabError),
+            ({"candidates": np.array([[3], [2**31]])}, mx.VocabError),
+            ({"candidates": np.array([[3], [2**32 + 3]])}, mx.VocabError),
+            ({"candidates": np.array([[3], [-1]])}, mx.VocabError),
+            ({"candidates": np.array([[3], [1.5]])}, mx.VocabError),
+            ({"user_nonseq": np.array([2**32 + 3])}, mx.VocabError),
+            ({"actions": np.full((5, 1), 2**32 + 3)}, mx.VocabError),
+            ({"labels": np.full((4, 1), 2)}, mx.DataError),
+            ({"labels": np.full((4, 1), -1)}, mx.DataError),
+            ({"labels": np.full((4, 1), 0.5)}, mx.DataError),
         ],
-        ids=["seq_too_long", "user_nonseq_length", "candidate_id"],
+        ids=[
+            "seq_too_long", "user_nonseq_length", "candidate_id", "candidate_id_2**31",
+            "candidate_id_wraps_to_3", "candidate_id_negative", "candidate_id_fractional",
+            "user_id_wraps_to_3", "action_id_wraps_to_3", "label_2", "label_negative",
+            "label_half",
+        ],
     )
     def test_bad_request_raises_typed_error(self, change, error):
-        # a sequence 3 past max_seq_len, a wrong user_nonseq length and an
-        # out-of-range candidate id never reach the scorer
+        # a sequence 3 past max_seq_len, a wrong user_nonseq length, an
+        # out-of-range id and a label other than 0 or 1 never reach the
+        # scorer; an id that int32 cannot hold, such as 2**32 + 3, is not
+        # narrowed to the valid id it would wrap to, and a label of 0.5 or
+        # -1 is not cast to a uint8 label
         schema, cfg, store, req, rng = decoupled_setup(17, seq_len=5)
         bad = dataclasses.replace(req, **change)
         with pytest.raises(error):

@@ -212,6 +212,40 @@ class TestBatching:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+class TestWidths:
+    """Requests hold ids as int32 and labels as uint8, the file's <u4 and <u1."""
+
+    @pytest.fixture
+    def written(self, tmp_path, tiny_schema):
+        rng = np.random.default_rng(4)
+        reqs = [random_request(tiny_schema, rng, seq_len=int(t)) for t in (0, 3, 6, 6)]
+        p = tmp_path / "data.bin"
+        mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=reqs))
+        return reqs, p
+
+    def test_built_read_and_stacked_requests_hold_file_widths(self, written, tiny_schema):
+        reqs, p = written
+        read = mx.read_dataset(str(p), tiny_schema).requests
+        for r in (*reqs, *read, mx.stack_requests(reqs[2:]), mx.stack_requests(read[2:])):
+            for name in ("user_nonseq", "actions", "candidates"):
+                assert getattr(r, name).dtype == np.int32, name
+            assert r.labels.dtype == np.uint8
+
+    def test_read_then_rewrite_is_byte_identical(self, written, tiny_schema, tmp_path):
+        _, p = written
+        again = tmp_path / "again.bin"
+        mx.write_dataset(str(again), mx.read_dataset(str(p), tiny_schema))
+        assert again.read_bytes() == p.read_bytes()
+
+    def test_read_requests_do_not_hold_the_file_bytes(self, written, tiny_schema):
+        # a view of the file's bytes would keep the whole file alive, and
+        # every view of those immutable bytes is read-only
+        _, p = written
+        for r in mx.read_dataset(str(p), tiny_schema).requests:
+            for a in (r.user_nonseq, r.actions, r.candidates, r.labels):
+                assert a.flags.writeable
+
+
 class TestFileFormats:
     def test_schema_round_trip(self, tmp_path, tiny_schema):
         p = tmp_path / "schema.txt"
@@ -303,12 +337,11 @@ class TestFileFormats:
             mx.read_dataset(str(p), tiny_schema)
 
     def test_out_of_vocab_ids_rejected_on_read(self, tmp_path, tiny_schema):
-        # shrink a vocab after writing: stored ids become invalid
+        # shrink a vocab after writing: stored ids become invalid; a <u4 id
+        # that int32 cannot hold is out of range too, never a wrapped id
         rng = np.random.default_rng(6)
         p = tmp_path / "data.bin"
         req = random_request(tiny_schema, rng)
-        req.user_nonseq[0] = 10
-        mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=[req]))
         shrunk = mx.FeatureSchema(
             nonseq_fields=(
                 mx.FeatureField("uid", "user", 2, 3),
@@ -316,8 +349,11 @@ class TestFileFormats:
             action_fields=tiny_schema.action_fields,
             max_seq_len=tiny_schema.max_seq_len,
         )
-        with pytest.raises(mx.VocabError):
-            mx.read_dataset(str(p), shrunk)
+        for stored in (10, 2**31, 2**32 - 1):
+            bad = dataclasses.replace(req, user_nonseq=[stored, *req.user_nonseq[1:]])
+            mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=[bad]))
+            with pytest.raises(mx.VocabError):
+                mx.read_dataset(str(p), shrunk)
 
     def test_oracle_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(7)

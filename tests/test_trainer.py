@@ -265,6 +265,23 @@ class TestLossAndTraining:
         bce = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
         np.testing.assert_allclose(loss, bce.sum(axis=1).mean(), rtol=1e-12)
 
+    def test_uint8_labels_give_the_float64_loss_bit_for_bit(self, tiny_schema, tiny_config):
+        ds = small_dataset(tiny_schema, n=4)
+        store = mx.init_parameters(tiny_schema, tiny_config, seed=0)
+        batch = mx.stack_requests(ds.requests)
+        assert batch.labels.dtype == np.uint8
+        wide = dataclasses.replace(batch, labels=batch.labels.astype(np.float64))
+        opt = mx.Optimizer(store.dense, store.tables)
+        params = [*store.dense.values(), *(t.weight for t in store.tables.values())]
+        runs = []
+        for b in (batch, wide):
+            opt.zero_grad()
+            loss = batch_loss(b, store, None)
+            loss.backward()
+            runs.append([loss.data, *(p.grad.copy() for p in params)])
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a, b)
+
     def test_loss_decreases_on_small_data(self, tiny_schema, tiny_config):
         ds = small_dataset(tiny_schema, n=16, seed=3)
         res = mx.fit(
