@@ -18,10 +18,11 @@ across temperature values, so the bisection objective is smooth.
 
 Per-request randomness comes from spawned seed sequences, making every
 request reproducible independently of generation order.  Requests are
-drawn in chunks of at most _CHUNK_IMPRESSIONS impressions, and each chunk
-is realized straight into the output arrays, so generation holds the
-output plus one chunk.  Label uniforms come from one sequential stream,
-so the corpus does not depend on the chunk size.
+drawn in chunks of at most _CHUNK_ROWS rows, a request counting as
+max(K, seq_len_max) rows, so a chunk's candidate and sequence arrays both
+stay bounded.  Each chunk is realized straight into the output arrays, so
+generation holds the output plus one chunk.  Label uniforms come from one
+sequential stream, so the corpus does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-_CHUNK_IMPRESSIONS = 2**16  # impressions drawn and realized at a time
+_CHUNK_ROWS = 2**16  # candidate or sequence rows drawn and realized at a time
 
 
 @dataclass
@@ -153,8 +154,10 @@ class _Chunk:
 
 
 def _draw(spec: GeneratorSpec) -> tuple[_World, Iterator[_Chunk]]:
-    """The world, and the requests in chunks of at most _CHUNK_IMPRESSIONS
-    impressions (at least one request each), in request order."""
+    """The world, and the requests in chunks of at most _CHUNK_ROWS rows
+    (at least one request each), in request order.  A request counts as
+    max(K, seq_len_max) rows: its candidates or its actions, whichever
+    are more."""
     root = np.random.SeedSequence(spec.seed)
     world_ss, label_ss, requests_ss = root.spawn(3)
     rng = np.random.default_rng(world_ss)
@@ -177,7 +180,7 @@ def _chunks(
     # requests are chunked, so every chunk size draws the same corpus
     k = spec.candidates_per_request
     items = world.item_latents
-    per_chunk = max(1, _CHUNK_IMPRESSIONS // k)
+    per_chunk = max(1, _CHUNK_ROWS // max(k, spec.seq_len_max))
     for start in range(0, spec.n_requests, per_chunk):
         c = min(per_chunk, spec.n_requests - start)
         req_users = np.empty(c, dtype=np.int64)

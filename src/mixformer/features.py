@@ -149,6 +149,7 @@ def make_tables(schema: FeatureSchema, rng: np.random.Generator) -> dict[str, Em
 # What a Request holds, the widths of the dataset file's <u4 ids and <u1 labels
 ID_DTYPE = np.int32
 LABEL_DTYPE = np.uint8
+_ID_END = int(np.iinfo(ID_DTYPE).max) + 1
 
 
 def _narrow(values, dtype: type) -> np.ndarray:
@@ -234,7 +235,8 @@ class Request:
             (self.candidates, schema.item_fields()),
             (self.actions, schema.action_fields),
         ):
-            bad = (ids < 0) | (ids >= [f.vocab_size for f in fields])
+            # an id past int32 fits no Request, whatever the vocabulary
+            bad = (ids < 0) | (ids >= np.minimum([f.vocab_size for f in fields], _ID_END))
             if ids.dtype.kind == "f":  # kept by _narrow: an id of 1.5 is no id
                 bad |= ids != np.trunc(ids)
             if bad.any():
@@ -497,13 +499,32 @@ def read_schema(path: str) -> FeatureSchema:
     return FeatureSchema(tuple(nonseq), tuple(actions), max_seq_len)
 
 
+def _label_tasks(r: Request) -> int | None:
+    return None if r.labels is None else r.labels.shape[1]
+
+
 def write_dataset(path: str, dataset: Dataset) -> None:
+    """Write the requests as a dataset file.
+
+    Before any byte is written, every request is validated against the
+    schema and must have the first request's label task count (None when
+    unlabelled), since the file holds one count for all: an id the file
+    cannot encode or past its field's vocabulary raises VocabError, other
+    bad input DataError, and no file is left at path.
+    """
     schema = dataset.schema
     n_user = len(schema.user_fields())
     n_item = len(schema.item_fields())
     n_act = len(schema.action_fields)
+    tasks = _label_tasks(dataset.requests[0]) if dataset.requests else None
+    for i, r in enumerate(dataset.requests):
+        r.validate(schema)
+        if _label_tasks(r) != tasks:
+            raise DataError(
+                f"{path}: request {i} has label tasks {_label_tasks(r)}, request 0 has {tasks}"
+            )
     has_labels = all(r.labels is not None for r in dataset.requests)
-    n_tasks = dataset.requests[0].labels.shape[1] if has_labels and dataset.requests else 0
+    n_tasks = tasks or 0
 
     def write(fh: BinaryIO) -> None:
         fh.write(_MAGIC)

@@ -254,7 +254,11 @@ def summarize(probs: np.ndarray, labels: np.ndarray, users: np.ndarray) -> Metri
     )
 
 
-_PREDICT_IMPRESSIONS = 4096
+# The most sequence or candidate rows one predict stack holds.  Not 1024:
+# glibc raises its mmap threshold to the largest block freed, and at t=256
+# a 1024-row stack's keys (1 MiB) leave it too low for rlb_forward's
+# arrays, which are then mapped fresh on every later call.
+_PREDICT_ROWS = 2048
 
 
 def predict(
@@ -265,8 +269,8 @@ def predict(
     impressions flattened in request order.
 
     Requests are scored in stacks of one (seq_len, K) shape, each of at
-    most max(1, 4096 // max(seq_len, K)) requests, so that neither its
-    sequence rows nor its candidate rows pass 4096 unless one request's
+    most max(1, 2048 // max(seq_len, K)) requests, so that neither its
+    sequence rows nor its candidate rows pass 2048 unless one request's
     do; logits_fn maps a stack to (B, K, n_tasks) logits.
     """
     if not requests:
@@ -275,7 +279,7 @@ def predict(
     probs: list = [None] * len(requests)
     for key in sorted(groups):
         idx = groups[key]
-        per = max(1, _PREDICT_IMPRESSIONS // max(key))
+        per = max(1, _PREDICT_ROWS // max(key))
         for lo in range(0, len(idx), per):
             sel = idx[lo : lo + per]
             p = ad.sigmoid(logits_fn(stack_requests([requests[i] for i in sel])))

@@ -180,6 +180,11 @@ def chunk_sizes(spec):
     return [c.rows.stop - c.rows.start for c in mx.datagen._draw(spec)[1]]
 
 
+def request_rows(spec):
+    """The rows a request counts for against the chunk budget."""
+    return max(spec.candidates_per_request, spec.seq_len_max)
+
+
 @pytest.fixture(scope="module")
 def one_chunk():
     assert chunk_sizes(CHUNKED) == [CHUNKED.n_requests]
@@ -194,8 +199,7 @@ class TestChunking:
         (1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1]),
     ])
     def test_corpus_independent_of_chunk_size(self, one_chunk, per_chunk, sizes, monkeypatch):
-        k = CHUNKED.candidates_per_request
-        monkeypatch.setattr(mx.datagen, "_CHUNK_IMPRESSIONS", per_chunk * k)
+        monkeypatch.setattr(mx.datagen, "_CHUNK_ROWS", per_chunk * request_rows(CHUNKED))
         assert chunk_sizes(CHUNKED) == sizes
         data = generate(CHUNKED)
         assert len(data.dataset.requests) == len(data.oracle) == CHUNKED.n_requests
@@ -203,9 +207,20 @@ class TestChunking:
         for name in ("user_latents", "item_latents", "item_clusters"):
             np.testing.assert_array_equal(getattr(data, name), getattr(one_chunk, name))
 
+    def test_sequence_length_bounds_the_chunk(self, one_chunk, monkeypatch):
+        # 12 actions outweigh 4 candidates: a budget of three requests'
+        # candidates holds one request's sequence rows
+        k, t = CHUNKED.candidates_per_request, CHUNKED.seq_len_max
+        assert t > k
+        monkeypatch.setattr(mx.datagen, "_CHUNK_ROWS", 3 * k)
+        assert chunk_sizes(CHUNKED) == [1] * 10
+        monkeypatch.setattr(mx.datagen, "_CHUNK_ROWS", 2 * t)
+        assert chunk_sizes(CHUNKED) == [2] * 5
+        assert_same_requests(generate(CHUNKED), one_chunk)
+
     def test_prefix_stable_across_chunk_boundary(self, one_chunk, monkeypatch):
         # chunks of 3: five requests end inside the second chunk
-        monkeypatch.setattr(mx.datagen, "_CHUNK_IMPRESSIONS", 3 * CHUNKED.candidates_per_request)
+        monkeypatch.setattr(mx.datagen, "_CHUNK_ROWS", 3 * request_rows(CHUNKED))
         short = generate(replace(CHUNKED, n_requests=5))
         assert len(short.dataset.requests) == 5
         assert_same_requests(short, one_chunk)
@@ -213,7 +228,7 @@ class TestChunking:
     def test_temperature_search_independent_of_chunk_size(self, monkeypatch):
         spec = GeneratorSpec(**{**SMALL, "n_requests": 200})
         whole = tune_noise_temperature(spec)
-        monkeypatch.setattr(mx.datagen, "_CHUNK_IMPRESSIONS", 3 * spec.candidates_per_request)
+        monkeypatch.setattr(mx.datagen, "_CHUNK_ROWS", 3 * request_rows(spec))
         assert tune_noise_temperature(spec) == whole
 
 
@@ -236,6 +251,20 @@ class TestWorkingSet:
 
     def test_generate_peak_near_its_output(self, traced):
         _, held, peak = traced
+        assert peak < 1.25 * held, (held, peak)
+
+    def test_long_sequence_generate_peak_near_its_output(self):
+        # 16 candidates but 256 actions a request: the chunk is sized by
+        # the sequence rows, so it is a few requests, not the whole corpus
+        long = GeneratorSpec(**{**SMALL, "seq_len_min": 256, "seq_len_max": 256,
+                                "n_requests": 640, "candidates_per_request": 16})
+        tracemalloc.start()
+        try:
+            data = generate(long)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data.dataset.requests) == long.n_requests
         assert peak < 1.25 * held, (held, peak)
 
     def test_oracle_written_in_bounded_memory(self, traced, tmp_path):

@@ -1,6 +1,7 @@
 """Schema, embedding, head layout, and file-format behavior."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -284,6 +285,47 @@ class TestFileFormats:
             mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=[req]))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("candidates", 2**32 + 3, mx.VocabError),  # a <u4 cast would write the valid id 3
+        ("candidates", -1, mx.VocabError),
+        ("candidates", 13, mx.VocabError),  # past iid's vocabulary
+        ("actions", 2**31, mx.VocabError),
+        ("labels", 2, mx.DataError),
+    ])
+    def test_invalid_request_rejected_before_write(self, tmp_path, tiny_schema, field, value, error):
+        req = random_request(tiny_schema, np.random.default_rng(5))
+        bad = getattr(req, field).astype(np.int64)
+        bad[-1, 0] = value
+        reqs = [req, dataclasses.replace(req, **{field: bad})]
+        with pytest.raises(error):
+            mx.write_dataset(str(tmp_path / "data.bin"), mx.Dataset(tiny_schema, reqs))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_id_past_int32_rejected_under_any_vocabulary(self, tmp_path, tiny_schema):
+        fields = list(tiny_schema.nonseq_fields)
+        fields[2] = mx.FeatureField("iid", "item", 2**33, 4)
+        huge = dataclasses.replace(tiny_schema, nonseq_fields=tuple(fields))
+        req = random_request(tiny_schema, np.random.default_rng(5))
+        cands = req.candidates.astype(np.int64)
+        cands[0, 0] = 2**32 + 3
+        bad = dataclasses.replace(req, candidates=cands)
+        with pytest.raises(mx.VocabError):
+            bad.validate(huge)
+        with pytest.raises(mx.VocabError):
+            mx.write_dataset(str(tmp_path / "data.bin"), mx.Dataset(huge, [bad]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mixed_label_tasks_rejected_before_write(self, tmp_path, tiny_schema):
+        # the file holds one task count, or none, for every request
+        req = random_request(tiny_schema, np.random.default_rng(5))
+        for other in (
+            dataclasses.replace(req, labels=req.labels[:, :1]),
+            dataclasses.replace(req, labels=None),
+        ):
+            with pytest.raises(mx.DataError):
+                mx.write_dataset(str(tmp_path / "data.bin"), mx.Dataset(tiny_schema, [req, other]))
+            assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic_rejected(self, tmp_path, tiny_schema):
         p = tmp_path / "data.bin"
         p.write_bytes(b"NOPE" + bytes(40))
@@ -338,10 +380,16 @@ class TestFileFormats:
 
     def test_out_of_vocab_ids_rejected_on_read(self, tmp_path, tiny_schema):
         # shrink a vocab after writing: stored ids become invalid; a <u4 id
-        # that int32 cannot hold is out of range too, never a wrapped id
+        # that int32 cannot hold is out of range too, never a wrapped id.
+        # write_dataset rejects such ids, so they are patched into the file
+        # as its first record's user id
         rng = np.random.default_rng(6)
         p = tmp_path / "data.bin"
-        req = random_request(tiny_schema, rng)
+        mx.write_dataset(
+            str(p), mx.Dataset(schema=tiny_schema, requests=[random_request(tiny_schema, rng)])
+        )
+        clean = p.read_bytes()
+        uid = 4 + mx.features._HEADER.size + mx.features._RECORD.size
         shrunk = mx.FeatureSchema(
             nonseq_fields=(
                 mx.FeatureField("uid", "user", 2, 3),
@@ -350,8 +398,7 @@ class TestFileFormats:
             max_seq_len=tiny_schema.max_seq_len,
         )
         for stored in (10, 2**31, 2**32 - 1):
-            bad = dataclasses.replace(req, user_nonseq=[stored, *req.user_nonseq[1:]])
-            mx.write_dataset(str(p), mx.Dataset(schema=tiny_schema, requests=[bad]))
+            p.write_bytes(clean[:uid] + struct.pack("<I", stored) + clean[uid + 4:])
             with pytest.raises(mx.VocabError):
                 mx.read_dataset(str(p), shrunk)
 

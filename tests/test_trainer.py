@@ -305,7 +305,7 @@ class TestLossAndTraining:
         shapes = [(3, 2), (5, 3), (3, 2), (1, 4), (3, 2), (3, 2), (1, 4), (3, 2)]
         reqs = [random_request(tiny_schema, rng, seq_len=t, n_candidates=k) for t, k in shapes]
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
-        monkeypatch.setattr(mx.trainer, "_PREDICT_IMPRESSIONS", 6)
+        monkeypatch.setattr(mx.trainer, "_PREDICT_ROWS", 6)
         stacks = []
 
         def logits_fn(batch):
@@ -396,11 +396,35 @@ class TestEvaluateDecoupled:
         assert mx.evaluate(holdout, store) == expected
         assert mx.evaluate(holdout, store, mask) == expected
 
-    def test_long_sequence_working_set_is_bounded(self):
-        # 32 requests of 256 actions and 16 candidates at desk-small: the
-        # stack's keys and values take 16 MiB, while its sequence-FFN hidden
-        # activation, were it projected in one piece, would take 16 MiB per
-        # array and lift the peak past 64 MiB
+    def test_stack_size_does_not_change_scores(self, tiny_schema, monkeypatch):
+        # one request per stack and every request of a shape in one stack
+        # score the same bits, decoupled and masked
+        store, holdout = self._setup(tiny_schema)
+        cfg = store.config
+        mask = mx.build_mask(cfg.n_heads, cfg.user_heads, cfg.head_dim)
+        n_shapes = len({(r.seq_len, r.n_candidates) for r in holdout})
+        whole = len(holdout) * max(max(r.seq_len, r.n_candidates) for r in holdout)
+        for score in (
+            lambda batch: mx.rlb_forward_batch(batch, store),
+            lambda batch: mx.batched_forward(batch, store, mask),
+        ):
+            probs = []
+            for budget, n_stacks in ((1, len(holdout)), (whole, n_shapes)):
+                monkeypatch.setattr(mx.trainer, "_PREDICT_ROWS", budget)
+                stacks = []
+
+                def counted(batch):
+                    stacks.append(batch.n_requests)
+                    return score(batch)
+
+                probs.append(mx.predict(holdout, counted)[0])
+                assert len(stacks) == n_stacks
+            np.testing.assert_array_equal(probs[0], probs[1])
+
+    @staticmethod
+    def _long_sequence_evaluate_peak():
+        """Peak traced bytes of one evaluate of 32 requests of 256 actions
+        and 16 candidates at desk-small."""
         t = 256
         spec = mx.GeneratorSpec(
             n_users=200, n_items=60, n_requests=32, candidates_per_request=16,
@@ -417,10 +441,21 @@ class TestEvaluateDecoupled:
         tracemalloc.start()
         try:
             mx.evaluate(data.dataset.requests, store)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+
+    def test_long_sequence_working_set_is_bounded(self):
+        # the stack's keys and values take 16 MiB at 32 requests, while its
+        # sequence-FFN hidden activation, were it projected in one piece,
+        # would take 16 MiB per array and lift the peak past 64 MiB
+        assert self._long_sequence_evaluate_peak() < 32 * 2**20
+
+    def test_long_sequence_stack_is_a_few_requests(self):
+        # predict stacks 2048 // 256 = 8 such requests, so no stack holds
+        # more than eight requests' sequence embedding, keys and values
+        # (about 8.5 MiB; stacks of 4096 rows peak at about 16.8 MiB)
+        assert self._long_sequence_evaluate_peak() < 12 * 2**20
 
     def test_foreign_mask_rejected(self, tiny_schema):
         store, holdout = self._setup(tiny_schema)
