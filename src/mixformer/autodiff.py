@@ -4,8 +4,8 @@ A Tensor wraps a float64 ndarray plus an optional backward closure; ops
 build a DAG and Tensor.backward() walks it in reverse topological order.
 Only what the model needs is implemented: broadcast-aware arithmetic,
 matmul, shape ops, embedding gather, fused softmax / rms_norm /
-layer_norm / swish / binary cross-entropy, and sigmoid on arrays, the
-package's one logistic function.  grad_check compares any Tensor
+layer_norm / swish / gated FFN / binary cross-entropy, and sigmoid on
+arrays, the package's one logistic function.  grad_check compares any Tensor
 function's backward pass against central finite differences.
 
 Every op also reports a FLOP count to any active FlopTrace.  The
@@ -325,6 +325,38 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp, kind="matmul", flops=flops)
 
 
+def _head_lead(x: Tensor, w: Tensor, op: str) -> int:
+    """The number of lead axes of a per-head product of x by wᵀ."""
+    nl = w.ndim - 3
+    if nl < 0 or x.ndim < nl + 2 or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"{op} cannot multiply {x.shape} by {w.shape} transposed")
+    return nl
+
+
+def _head_rows(x: np.ndarray, nl: int) -> np.ndarray:
+    """(*lead, *rows, n, c) as the per-head GEMM operand (*lead, n, R, c)."""
+    r = math.prod(x.shape[nl:-2])
+    return np.swapaxes(x.reshape(x.shape[:nl] + (r,) + x.shape[-2:]), -3, -2)
+
+
+def _from_head_rows(y: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    """The inverse of _head_rows: (*lead, n, R, o) as (*lead, *rows, n, o)."""
+    return np.swapaxes(y, -3, -2).reshape(y.shape[:-3] + rows + (y.shape[-3], y.shape[-1]))
+
+
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of wᵀ, the right operand of every per-head GEMM."""
+    return np.ascontiguousarray(np.swapaxes(w, -1, -2))
+
+
+def _head_grads(g: np.ndarray, xr: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of _tiled_matmul(xr, wt) for its cotangent g: xr's and wt's
+    transpose, each one GEMM at the operand's own shape."""
+    gx = _folded_matmul(g, np.swapaxes(wt, -1, -2), xr.shape)
+    gw = _folded_matmul(np.swapaxes(xr, -1, -2), g, wt.shape)
+    return gx, np.swapaxes(gw, -1, -2)
+
+
 def head_matmul(x, w) -> Tensor:
     """Per-head x @ wᵀ with x's rows as the GEMM rows: (*lead, *rows, n, o).
 
@@ -336,24 +368,73 @@ def head_matmul(x, w) -> Tensor:
     sequence-FFN row is the same in any stack of requests.
     """
     x, w = as_tensor(x), as_tensor(w)
-    nl = w.ndim - 3
-    if nl < 0 or x.ndim < nl + 2 or x.shape[-1] != w.shape[-1]:
-        raise ShapeError(f"head_matmul cannot multiply {x.shape} by {w.shape} transposed")
+    nl = _head_lead(x, w, "head_matmul")
     rows = x.shape[nl:-2]
-    # (*lead, n, R, c) @ (*lead, n, c, o)
-    xr = np.swapaxes(x.data.reshape(x.shape[:nl] + (math.prod(rows),) + x.shape[-2:]), -3, -2)
-    wt = np.ascontiguousarray(np.swapaxes(w.data, -1, -2))
+    xr = _head_rows(x.data, nl)
+    wt = _transposed(w.data)
     out = _tiled_matmul(xr, wt)
-    lead, n, o = out.shape[:nl], out.shape[-3], out.shape[-1]
 
     def vjp(g):
-        g = np.swapaxes(g.reshape(lead + (xr.shape[-2], n, o)), -3, -2)
-        gx = _folded_matmul(g, np.swapaxes(wt, -1, -2), xr.shape)
-        gw = _folded_matmul(np.swapaxes(xr, -1, -2), g, wt.shape)
-        return np.swapaxes(gx, -3, -2).reshape(x.shape), np.swapaxes(gw, -1, -2)
+        gx, gw = _head_grads(_head_rows(g, nl), xr, wt)
+        return _from_head_rows(gx, rows), gw
 
-    data = np.swapaxes(out, -3, -2).reshape(lead + rows + (n, o))
-    return _make(data, (x, w), vjp, kind="matmul", flops=2 * out.size * x.shape[-1])
+    flops = 2 * out.size * x.shape[-1]
+    return _make(_from_head_rows(out, rows), (x, w), vjp, kind="matmul", flops=flops)
+
+
+def gated_ffn(x, gate, up, down) -> Tensor:
+    """The gated FFN head_matmul(swish(x·gateᵀ) * (x·upᵀ), down) as one op.
+
+    x is (*lead, *rows, n, c); gate and up are (*lead, n, hidden, c) and
+    down (*lead, n, o, hidden), and any of their head counts n may be 1.
+    The three products run as head_matmul runs them and record its three
+    matmul FLOP events.  The tape keeps x's rows, the gate product a, the
+    up product u and s = sigmoid(a); backward recomputes a*s and (a*s)*u
+    in the same order of operations, so every value and gradient is
+    bit-identical to the five-op composition.  Without a tape the gated
+    product is written into s.
+    """
+    x, gate, up, down = as_tensor(x), as_tensor(gate), as_tensor(up), as_tensor(down)
+    nl = _head_lead(x, gate, "gated_ffn")
+    if up.shape != gate.shape or down.ndim != gate.ndim or down.shape[-1] != gate.shape[-2]:
+        raise ShapeError(
+            f"gated_ffn weights do not fit: gate {gate.shape}, up {up.shape}, down {down.shape}"
+        )
+    rows = x.shape[nl:-2]
+    xr = _head_rows(x.data, nl)
+    wg, wu, wd = _transposed(gate.data), _transposed(up.data), _transposed(down.data)
+    a = _tiled_matmul(xr, wg)
+    _record("matmul", 2 * a.size * x.shape[-1])
+    u = _tiled_matmul(xr, wu)
+    _record("matmul", 2 * u.size * x.shape[-1])
+    s = sigmoid(a)
+    taped = _GRAD_ENABLED and any(t.requires_grad for t in (x, gate, up, down))
+    h = np.multiply(a, s, out=None if taped else s)
+    h *= u
+    if not taped:
+        a = u = None  # nothing is kept, so free both before the down product
+    out = _tiled_matmul(h, wd)
+
+    def vjp(g):
+        sw = np.multiply(a, s, out=a)
+        h = sw * u
+        gh, gd = _head_grads(_head_rows(g, nl), h, wd)
+        # swish'(a) = s + (a*s)*(1 - s), built in h's buffer
+        np.subtract(1.0, s, out=h)
+        h *= sw
+        h += s
+        sw *= gh  # up's cotangent
+        gh *= u
+        gh *= h  # gate's cotangent
+        gx, gg = _head_grads(gh, xr, wg)
+        gxu, gu = _head_grads(sw, xr, wu)
+        return _from_head_rows(gx, rows), _from_head_rows(gxu, rows), gg, gu, gd
+
+    # x is a parent twice, so its two gradients join any other of x's
+    # gradients one at a time, in the order the composition added them
+    parents = (x, x, gate, up, down)
+    flops = 2 * out.size * gate.shape[-2]
+    return _make(_from_head_rows(out, rows), parents, vjp, kind="matmul", flops=flops)
 
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
@@ -489,14 +570,14 @@ def rms_norm(x, scale, eps: float) -> Tensor:
     ms = np.mean(x.data * x.data, axis=-1, keepdims=True)
     r = np.sqrt(ms + eps)
     inv = 1.0 / r
-    xhat = x.data * inv
-    out = xhat * scale.data
+    out = x.data * inv
+    out *= scale.data
 
     def vjp(g):
         gs = g * scale.data
         proj = (gs * x.data).sum(axis=-1, keepdims=True)
         gx = gs * inv - x.data * (proj * inv**3 / n)
-        gscale = _sum_to_shape(g * xhat, scale.data.shape)
+        gscale = _sum_to_shape(g * (x.data * inv), scale.data.shape)
         return gx, gscale
 
     return _make(out, (x, scale), vjp, kind="norm", flops=5 * x.data.size)

@@ -6,7 +6,7 @@ FFNs), cross attention from per-head queries onto the user's action
 sequence, and an output fusion of per-head gated FFNs.  Keys and values
 are projected per block from the raw sequence embedding, so they depend
 only on the request, never on the candidate.  Every gated FFN, the
-sequence FFN too (one head), is _headwise_ffn.
+sequence FFN too (one head), is the one autodiff op ad.gated_ffn.
 
 Default normalization is rms_norm applied before each sublayer; the
 post_ln ablation switches to gain-only layer_norm applied after the
@@ -379,12 +379,6 @@ def _sublayer(x: ad.Tensor, scale: ad.Tensor, cfg: ModelConfig, fn) -> ad.Tensor
     return ad.add(fn(_norm(x, scale, cfg)), x)
 
 
-def _headwise_ffn(x: ad.Tensor, gate: ad.Tensor, up: ad.Tensor, down: ad.Tensor) -> ad.Tensor:
-    # x (..., n, dim); gate/up (n or 1, hidden, dim); down (n or 1, dim, hidden)
-    hidden = ad.mul(ad.swish(ad.head_matmul(x, gate)), ad.head_matmul(x, up))
-    return ad.head_matmul(hidden, down)
-
-
 def _single_head_sa(x: ad.Tensor, p: dict[str, ad.Tensor], cfg: ModelConfig) -> ad.Tensor:
     """Ablation substitute for head mixing: one self-attention pass over
     the n_heads rows with learned D x D projections."""
@@ -450,14 +444,14 @@ def query_mixer(
     if flags.wo_qm_ffn:
         return x
     ffn = [p[f"qm.ffn.{w}"] for w in ("gate", "up", "down")]
-    return _sublayer(x, p["qm.norm"], cfg, lambda xn: _headwise_ffn(xn, *ffn))
+    return _sublayer(x, p["qm.norm"], cfg, lambda xn: ad.gated_ffn(xn, *ffn))
 
 
 def project_actions(s, p: dict[str, ad.Tensor], cfg: ModelConfig) -> tuple[ad.Tensor, ad.Tensor]:
     """Per-block keys and values from the raw sequence embedding.
 
     s is (..., t, n_heads*head_dim).  The gated FFN plus residual reads
-    the raw embedding at every block, as _headwise_ffn on one head whose
+    the raw embedding at every block, as ad.gated_ffn on one head whose
     rows are the actions, so a row rounds the same in any stack of
     requests.  Then each head's slice is projected by that block's
     key/value matrices.  Returns two (..., n_heads, t, head_dim) tensors.
@@ -465,7 +459,7 @@ def project_actions(s, p: dict[str, ad.Tensor], cfg: ModelConfig) -> tuple[ad.Te
     s = ad.as_tensor(s)
     lead, t, width = s.shape[:-2], s.shape[-2], s.shape[-1]
     ffn = [p[k].reshape((1,) + p[k].shape) for k in ("seq.ffn.gate", "seq.ffn.up", "seq.ffn.down")]
-    one_head = lambda sn: _headwise_ffn(sn.reshape(lead + (t, 1, width)), *ffn).reshape(sn.shape)
+    one_head = lambda sn: ad.gated_ffn(sn.reshape(lead + (t, 1, width)), *ffn).reshape(sn.shape)
     h = _sublayer(s, p["seq.norm"], cfg, one_head)
     heads = h.reshape(lead + (t, cfg.n_heads, cfg.head_dim)).swapaxes(-3, -2)
     keys = ad.matmul(heads, ad.swapaxes(p["kv.key"], -1, -2))
@@ -503,7 +497,7 @@ def output_fusion(z, p: dict[str, ad.Tensor], cfg: ModelConfig) -> ad.Tensor:
     """Per-head gated FFNs with residual on the attended state."""
     z = ad.as_tensor(z)
     ffn = [p[f"of.ffn.{w}"] for w in ("gate", "up", "down")]
-    return _sublayer(z, p["of.norm"], cfg, lambda zn: _headwise_ffn(zn, *ffn))
+    return _sublayer(z, p["of.norm"], cfg, lambda zn: ad.gated_ffn(zn, *ffn))
 
 
 def mixformer_block(

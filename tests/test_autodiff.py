@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mixformer import autodiff as ad
-from mixformer.errors import GraphReleasedError, MixformerError
+from mixformer.errors import GraphReleasedError, MixformerError, ShapeError
 
 
 def numeric_grad(fn, args, wrt, u, step=1e-6):
@@ -245,6 +245,79 @@ class TestRowRounding:
             out = ad.head_matmul(np.ones((1, 1, 32)), np.ones((1, 10, 32)))
         assert out.shape == (1, 1, 10)
         assert tr.total == 2 * 10 * 32
+
+
+class TestGatedFfn:
+    """gated_ffn is the composition head_matmul, swish, mul, head_matmul bit
+    for bit: its output, all four gradients and its FLOP events.  The cases
+    are per-head weights, one weight stack for four heads of rows (the
+    shared_of_ffn fold) and the sequence FFN's one head over action rows,
+    whose hidden widths of 12 and 20 are not multiples of 8."""
+
+    SHAPES = {
+        # x, gate and up, down, for r rows
+        "four_heads": lambda r: ((r, 4, 16), (4, 24, 16), (4, 16, 24)),
+        "shared_fold": lambda r: ((r, 4, 16), (1, 20, 16), (1, 16, 20)),
+        "sequence": lambda r: ((2, r, 1, 32), (1, 12, 32), (1, 32, 12)),
+    }
+
+    @staticmethod
+    def composition(x, gate, up, down):
+        hidden = ad.mul(ad.swish(ad.head_matmul(x, gate)), ad.head_matmul(x, up))
+        return ad.head_matmul(hidden, down)
+
+    @classmethod
+    def arrays(cls, case, rows):
+        rng = np.random.default_rng(rows)
+        x, gate, down = cls.SHAPES[case](rows)
+        return [rng.standard_normal(s) for s in (x, gate, gate, down)]
+
+    @staticmethod
+    def run(fn, arrays, residual):
+        # with residual, x is an interior node that is also added to the
+        # output, as in the post_ln sublayer, so x's gradient sums three terms
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        x = ad.mul(leaves[0], 1.5) if residual else leaves[0]
+        with ad.FlopTrace() as trace:
+            out = fn(x, *leaves[1:])
+        if residual:
+            out = ad.add(out, x)
+        out.backward(np.cos(np.arange(out.size)).reshape(out.shape))
+        return out.data, [leaf.grad for leaf in leaves], trace.events
+
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    @pytest.mark.parametrize("rows", [1, 5, 16, 37])
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_equals_composition(self, case, rows, residual):
+        arrays = self.arrays(case, rows)
+        out, grads, events = self.run(ad.gated_ffn, arrays, residual)
+        ref_out, ref_grads, ref_events = self.run(self.composition, arrays, residual)
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+        assert events == ref_events
+        assert [kind for kind, _ in events] == ["matmul"] * 3
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_no_grad_equals_taped(self, case):
+        arrays = self.arrays(case, 37)
+        taped = ad.gated_ffn(*[ad.Tensor(a, requires_grad=True) for a in arrays])
+        assert taped.requires_grad
+        with ad.no_grad():
+            untaped = ad.gated_ffn(*arrays)
+        assert not untaped.requires_grad
+        np.testing.assert_array_equal(untaped.data, taped.data)
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_grad_check(self, case):
+        assert ad.grad_check(ad.gated_ffn, self.arrays(case, 5), max_coords=60).passed
+
+    def test_mismatched_weights_raise(self):
+        x, gate, up, down = self.arrays("four_heads", 5)
+        with pytest.raises(ShapeError):
+            ad.gated_ffn(x, gate, up[:, :20], down)
+        with pytest.raises(ShapeError):
+            ad.gated_ffn(x, gate, up, down[..., :20])
 
 
 class TestHandValues:

@@ -356,6 +356,35 @@ class TestLossAndTraining:
             tracemalloc.stop()
         assert two < 1.3 * one, (one, two)
 
+    def test_training_tape_keeps_no_recomputable_activation(self):
+        # one forward and backward on a batch of the benchmark's train shape,
+        # 32 requests x K=8 x t=32 at desk-small with decoupled heads: each
+        # gated FFN keeps its gate and up products and their sigmoid, and
+        # rms_norm its input, so the tape holds about 43 MiB; saving the
+        # swish outputs, gated products and normalized rows besides peaks
+        # near 60 MiB
+        t = 32
+        spec = mx.GeneratorSpec(
+            n_users=2000, n_items=500, n_requests=32, candidates_per_request=8,
+            seq_len_min=t, seq_len_max=t, seed=0,
+        )
+        data = mx.generate(spec)
+        schema = data.dataset.schema
+        n_u, n_g = mx.allocate_heads(schema.d_ns_user, schema.d_ns_item, 4)
+        cfg = mx.ModelConfig(
+            n_heads=4, head_dim=32, n_blocks=2, max_seq_len=t,
+            decoupling=mx.DecoupleConfig(True, n_u, n_g),
+        )
+        store = mx.init_parameters(schema, cfg, seed=0)
+        batch = mx.stack_requests(data.dataset.requests)
+        tracemalloc.start()
+        try:
+            batch_loss(batch, store).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, peak / 2**20
+
     def test_predict_rejects_no_requests(self, tiny_schema, tiny_config):
         store = mx.init_parameters(tiny_schema, tiny_config, seed=1)
         with pytest.raises(mx.MetricError):
